@@ -19,6 +19,12 @@ subsystem:
   coroutine kernel on the same tiny grid: oracle sampling must match
   the kernel trace-for-trace, and batch sampling must produce a sane
   delay profile (the property the 10^4-flow story rests on);
+- **sender-oracle** — the single-flow sender
+  (:meth:`~repro.testbed.simulator.SenderSimulator.run`, the event
+  kernel's contention-free case) replayed by the vector engine's
+  exact/oracle path: traces and observer masks must match bit for bit
+  under three policies (the property the single sender engine rests
+  on);
 - **models** — the batched analytic-model engine
   (:mod:`repro.core.vector_models`) swept against the scalar oracle on
   a tiny calibrated scenario: same recommended policy, every sweep
@@ -98,6 +104,16 @@ def _tiny_scenario():
     return clip, bitstream
 
 
+def _trace_rows(runs) -> list:
+    """Every packet trace of ``runs`` as comparable tuples."""
+    return [
+        (t.sequence_number, t.enqueue_time_s, t.service_start_s,
+         t.encryption_time_s, t.transmit_time_s, t.departure_time_s,
+         t.encrypted, t.delivered, t.attempts)
+        for run in runs for t in run.trace
+    ]
+
+
 def _check_cached_engine() -> str:
     from .core import standard_policies
     from .testbed import (DEVICES, ExperimentConfig, ExperimentEngine,
@@ -170,15 +186,8 @@ def _check_vector_flows() -> str:
     vector = run_multiflow(bitstream, engine="vector", sampling="oracle",
                            **kwargs)
 
-    def rows(result):
-        return [
-            (t.sequence_number, t.enqueue_time_s, t.service_start_s,
-             t.encryption_time_s, t.transmit_time_s, t.departure_time_s,
-             t.encrypted, t.delivered, t.attempts)
-            for run in result.flows for t in run.trace
-        ]
-
-    if rows(kernel) != rows(vector):
+    rows = _trace_rows(kernel.flows)
+    if rows != _trace_rows(vector.flows):
         raise AssertionError(
             "vector engine (oracle sampling) diverged from the event"
             " kernel on the selftest grid")
@@ -186,8 +195,34 @@ def _check_vector_flows() -> str:
     mean = batch.mean_delay_ms
     if not 0.0 < mean < 1e4:
         raise AssertionError(f"batch sampling mean delay insane: {mean}")
-    return (f"oracle==kernel over {len(rows(kernel))} packet traces,"
+    return (f"oracle==kernel over {len(rows)} packet traces,"
             f" batch mean delay {mean:.2f}ms")
+
+
+def _check_sender_oracle() -> str:
+    from .core import standard_policies
+    from .testbed import DEVICES, SenderSimulator, run_multiflow
+
+    _, bitstream = _tiny_scenario()
+    simulator = SenderSimulator(bitstream, device=DEVICES["samsung-s2"])
+    for name in ("none", "I", "all"):
+        policy = standard_policies("AES256")[name]
+        kernel = simulator.run(
+            policy, seed=np.random.SeedSequence(2013).spawn(1)[0])
+        vector = run_multiflow(
+            bitstream, flows=1, policy=policy, device=simulator.device,
+            link=simulator.link, engine="vector", sampling="oracle",
+            seed=np.random.SeedSequence(2013)).flows[0]
+        rows = _trace_rows([kernel])
+        if (rows != _trace_rows([vector])
+                or kernel.usable_by_receiver != vector.usable_by_receiver
+                or kernel.usable_by_eavesdropper
+                != vector.usable_by_eavesdropper):
+            raise AssertionError(
+                f"single-flow kernel diverged from the vector oracle"
+                f" under policy {name!r}")
+    return (f"single-flow kernel==vector oracle over {len(rows)} packet"
+            f" traces x 3 policies")
 
 
 def _check_vector_models() -> str:
@@ -267,15 +302,8 @@ def _check_mobility() -> str:
     vector = run_mobility(bitstream, engine="vector", sampling="oracle",
                           **kwargs)
 
-    def rows(result):
-        return [
-            (t.sequence_number, t.enqueue_time_s, t.service_start_s,
-             t.encryption_time_s, t.transmit_time_s, t.departure_time_s,
-             t.encrypted, t.delivered, t.attempts)
-            for run in result.flows_run.flows for t in run.trace
-        ]
-
-    if rows(kernel) != rows(vector):
+    rows = _trace_rows(kernel.flows_run.flows)
+    if rows != _trace_rows(vector.flows_run.flows):
         raise AssertionError(
             "mobile vector engine (oracle sampling) diverged from the"
             " event kernel on the selftest scenario")
@@ -284,7 +312,7 @@ def _check_mobility() -> str:
             f"gap accounting split: kernel {kernel.gap_packets},"
             f" vector {vector.gap_packets}")
     return (f"deterministic build, oracle==kernel over"
-            f" {len(rows(kernel))} packet traces across"
+            f" {len(rows)} packet traces across"
             f" {scenario.handoffs} handoffs,"
             f" {kernel.gap_packets} gap packets agree")
 
@@ -363,6 +391,7 @@ _CHECKS: List[tuple] = [
     ("cached-engine", _check_cached_engine),
     ("event-kernel", _check_event_kernel),
     ("vector-flows", _check_vector_flows),
+    ("sender-oracle", _check_sender_oracle),
     ("vector-models", _check_vector_models),
     ("mobility", _check_mobility),
     ("net-queue", _check_net_queue),

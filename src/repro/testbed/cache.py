@@ -163,11 +163,12 @@ def code_fingerprint() -> str:
     from ..core import frame_success, policies
     from ..video import concealment, packetizer, quality
     from ..wifi import dcf, phy
-    from . import devices, energy, experiment, simulator, tracing, transport
+    from . import (devices, energy, events, experiment, flow_sampling,
+                   multiflow, simulator, tracing, transport, vector_flows)
 
-    modules = (simulator, experiment, transport, energy, tracing, devices,
-               packetizer, concealment, quality, frame_success, policies,
-               dcf, phy)
+    modules = (simulator, events, multiflow, vector_flows, flow_sampling,
+               experiment, transport, energy, tracing, devices, packetizer,
+               concealment, quality, frame_success, policies, dcf, phy)
     digest = hashlib.sha256()
     for module in modules:
         digest.update(Path(module.__file__).read_bytes())

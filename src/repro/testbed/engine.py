@@ -49,14 +49,19 @@ __all__ = ["CellSummary", "GridCell", "ExperimentEngine",
 
 # v2: cell descriptions gained the "flows" and "engine" fields (the
 # multi-flow event-kernel transport).  They are emitted only when they
-# differ from the single-flow/legacy defaults, so every pre-existing
+# differ from the single-flow defaults, so every pre-existing
 # cell keeps its v1 seed stream (and therefore its published bench
 # numbers) — see EXPERIMENTS.md "Cache-key versioning".
 # v3: the optional "mobility" field (a profile spec string such as
 # "vehicular:hysteresis") — emitted only when set, so static cells
 # keep their v2 keys and seed streams; the bump marks that workers
 # older than this schema cannot rebuild mobility cells.
-ENGINE_SCHEMA_VERSION = 3
+# v4: the legacy single-flow loop is gone; the default engine (no
+# "engine" field) now runs the event kernel, which the legacy loop
+# matched bit for bit, so descriptions and seed streams are unchanged.
+# The bump marks that older workers run default cells on another code
+# path and reject the multi-flow and vector decode cells v4 accepts.
+ENGINE_SCHEMA_VERSION = 4
 
 
 # -- cache-key serialization ---------------------------------------------------

@@ -1,13 +1,13 @@
 """Deterministic discrete-event simulation kernel.
 
-The legacy :class:`~repro.testbed.simulator.SenderSimulator` advances one
-packet at a time inside a single loop, which hard-codes the paper's
-single-flow assumption (eq. 19's one sender owning the channel).  The
-paper's own testbed, however, runs two phones contending for one AP.
-This kernel lets sender, MAC and eavesdropper run as *concurrent
-processes* so multi-flow contention becomes expressible
-(:mod:`repro.testbed.multiflow`), while staying bit-for-bit
-reproducible:
+A single per-packet loop would hard-code the paper's single-flow
+assumption (eq. 19's one sender owning the channel), but the paper's
+own testbed runs two phones contending for one AP.  This kernel lets
+sender, MAC and eavesdropper run as *concurrent processes* so
+multi-flow contention becomes expressible
+(:mod:`repro.testbed.multiflow`); the single-flow
+:class:`~repro.testbed.simulator.SenderSimulator` is its one-process
+case.  It stays bit-for-bit reproducible:
 
 - **heap scheduler** — pending events live in a binary heap ordered by
   ``(time, sequence)``; the monotone sequence counter makes ties between

@@ -15,14 +15,14 @@ at the eavesdropper (encrypted packets are erasures), and report
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..analysis.stats import Summary, summarize
 from ..core.policies import EncryptionPolicy
 from ..crypto.timing import CipherCost
-from ..video.concealment import conceal_decode
+from ..video.concealment import CONCEALMENT_MODES, conceal_decode
 from ..video.gop import Bitstream
 from ..video.packetizer import frames_decodable
 from ..video.quality import sequence_mos, sequence_psnr
@@ -31,6 +31,7 @@ from ..wifi.dcf import DcfSolution
 from ..wifi.phy import Phy80211g
 from .devices import DeviceProfile
 from .energy import EnergyBreakdown, average_power_w
+from .multiflow import MultiFlowRun, run_multiflow
 from .simulator import LinkConfig, SenderSimulator, SimulationRun
 from .transport import UDP_RTP, TransportConfig
 
@@ -46,21 +47,19 @@ Seed = Union[int, np.random.SeedSequence]
 class ExperimentConfig:
     """Inputs of one experiment cell.
 
-    ``engine`` selects the execution path (``"legacy"`` single loop vs
-    the ``"events"`` discrete-event kernel; identical results for one
-    flow).  ``flows > 1`` runs that many senders contending for one AP
-    through :func:`repro.testbed.multiflow.run_multiflow` — it requires
-    ``engine="events"`` (contention is only expressible there) and
-    ``decode_video=False`` (per-flow delay/power are the multi-flow
-    metrics; video reconstruction remains a single-flow concern).
+    ``engine`` selects the sender engine.  The default (``None``) and
+    ``"events"`` run the discrete-event kernel, ``"vector"`` the
+    struct-of-arrays fast path.  ``flows > 1`` runs that many senders
+    contending for one AP through
+    :func:`repro.testbed.multiflow.run_multiflow`; a default-engine
+    config with ``flows > 1`` or ``mobility`` resolves to ``"events"``.
+    Every engine and flow count can reconstruct video: the observers
+    decode flow 0's packets.
 
     ``mobility`` runs the transfer along a named mobility profile
     (``"vehicular:hysteresis"`` — see
     :func:`repro.mobility.parse_mobility_spec`): the link is derived
-    from the scenario's AP field, so ``link`` must stay ``None`` and
-    the legacy loop cannot express it.  Video decode stays available
-    for single-flow event-kernel cells (the GOP-vs-handoff question
-    needs it).
+    from the scenario's AP field, so ``link`` must stay ``None``.
     """
 
     policy: EncryptionPolicy
@@ -72,41 +71,33 @@ class ExperimentConfig:
     eavesdropper_mode: str = "best_effort"  # what a real attacker's decoder does
     receiver_mode: str = "strict"           # EvalVid's reconstruction policy
     flows: int = 1
-    engine: str = "legacy"                  # "legacy" | "events" | "vector"
+    engine: Optional[str] = None            # None (kernel) | "events" | "vector"
     mobility: Optional[str] = None          # profile spec, e.g. "vehicular"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("legacy", "events", "vector"):
+        if self.engine not in (None, "events", "vector"):
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected 'legacy',"
-                " 'events' or 'vector'"
+                f"unknown engine {self.engine!r}; expected 'events' or"
+                " 'vector' (or None for the default kernel)"
             )
         if not isinstance(self.flows, int) or isinstance(self.flows, bool) \
                 or self.flows < 1:
             raise ValueError(
                 f"flows must be a positive integer, got {self.flows!r}")
-        if self.engine == "vector" and self.decode_video:
+        if self.engine is None and (self.flows > 1
+                                    or self.mobility is not None):
+            object.__setattr__(self, "engine", "events")
+        for field_name in ("receiver_mode", "eavesdropper_mode"):
+            mode = getattr(self, field_name)
+            if mode not in CONCEALMENT_MODES:
+                raise ValueError(
+                    f"unknown {field_name} {mode!r}; expected one of"
+                    f" {CONCEALMENT_MODES}")
+        if not 0.0 <= self.sensitivity_fraction <= 1.0:
             raise ValueError(
-                "engine='vector' reports per-flow delay/power;"
-                " set decode_video=False"
-            )
-        if self.flows > 1:
-            if self.engine == "legacy":
-                raise ValueError(
-                    "multi-flow experiments need engine='events' or"
-                    " 'vector' (the legacy loop cannot express contention)"
-                )
-            if self.decode_video:
-                raise ValueError(
-                    "multi-flow experiments report per-flow delay/power;"
-                    " set decode_video=False"
-                )
+                "sensitivity_fraction must lie in [0, 1], got"
+                f" {self.sensitivity_fraction!r}")
         if self.mobility is not None:
-            if self.engine == "legacy":
-                raise ValueError(
-                    "mobility experiments need engine='events' or"
-                    " 'vector' (the legacy loop cannot retune the link)"
-                )
             if self.link is not None:
                 raise ValueError(
                     "mobility derives the link from the scenario's AP"
@@ -157,10 +148,10 @@ class ExperimentConfig:
             "receiver_mode": self.receiver_mode,
         }
         # Additive fields must not perturb pre-existing keys/seed streams:
-        # emit them only when they leave the single-flow legacy defaults.
+        # emit them only when they leave the single-flow defaults.
         if self.flows != 1:
             description["flows"] = self.flows
-        if self.engine != "legacy":
+        if self.engine is not None:
             description["engine"] = self.engine
         if self.mobility is not None:
             description["mobility"] = self.mobility
@@ -217,7 +208,7 @@ class ExperimentConfig:
                 eavesdropper_mode=description["eavesdropper_mode"],
                 receiver_mode=description["receiver_mode"],
                 flows=description.get("flows", 1),
-                engine=description.get("engine", "legacy"),
+                engine=description.get("engine"),
                 mobility=description.get("mobility"),
             )
         except (KeyError, TypeError) as exc:
@@ -230,12 +221,13 @@ class ExperimentConfig:
 class ExperimentResult:
     """Metrics of a single run.
 
-    For multi-flow cells ``run`` is flow 0's trace, the scalar metrics
-    aggregate over every flow's packets, and ``multiflow`` keeps the
-    full per-flow runs (percentile views included).
+    ``run`` is flow 0's trace, the scalar metrics aggregate over every
+    flow's packets, and ``multiflow`` keeps the full per-flow runs
+    (percentile views included; one flow for single-flow cells).
     """
 
     run: SimulationRun
+    multiflow: MultiFlowRun
     mean_delay_ms: float
     mean_waiting_ms: float
     energy: EnergyBreakdown
@@ -243,17 +235,10 @@ class ExperimentResult:
     receiver_mos: Optional[float] = None
     eavesdropper_psnr_db: Optional[float] = None
     eavesdropper_mos: Optional[float] = None
-    multiflow: "Optional[object]" = None  # MultiFlowRun when flows > 1
 
     @property
     def average_power_w(self) -> float:
         return self.energy.average_power_w
-
-
-def _reconstruct(bitstream: Bitstream, run: SimulationRun, usable: List[bool],
-                 sensitivity: float, mode: str) -> Sequence420:
-    decodable = frames_decodable(run.packets, usable, sensitivity)
-    return conceal_decode(bitstream, decodable, mode=mode).sequence
 
 
 def run_experiment(
@@ -264,65 +249,51 @@ def run_experiment(
     seed: Optional[Seed] = None,
     simulator: Optional[SenderSimulator] = None,
 ) -> ExperimentResult:
-    """Run one transfer and measure everything the paper measures."""
-    if config.mobility is not None:
-        return _run_mobility_experiment(original, bitstream, config, seed)
-    if config.flows > 1 or config.engine == "vector":
-        return _run_multiflow_experiment(bitstream, config, seed)
-    simulator = simulator or SenderSimulator(
-        bitstream,
-        device=config.device,
-        link=config.link,
-        transport=config.transport,
-    )
-    run = simulator.run(config.policy, seed=seed, engine=config.engine)
-    trace = run.trace
+    """Run one transfer and measure everything the paper measures.
 
-    # Energy: the transfer occupies the device from t=0 to the last
-    # departure; CPU is busy while encrypting, radio while transmitting.
-    energy = average_power_w(
-        config.device,
-        duration_s=trace.makespan_s(),
-        crypto_time_s=trace.total_crypto_time_s(),
-        airtime_s=trace.total_airtime_s(),
-    )
-
-    result = ExperimentResult(
-        run=run,
-        mean_delay_ms=trace.mean_delay_s() * 1e3,
-        mean_waiting_ms=trace.mean_waiting_s() * 1e3,
-        energy=energy,
-    )
-
+    Three stages: transfer the clip through the cell's sender engine,
+    aggregate delay and energy over every flow, and (``decode_video``)
+    reconstruct flow 0 at both observers.  ``simulator`` is reused by
+    single-flow static kernel cells (see :func:`run_repeated`).
+    """
+    mrun = _transfer(bitstream, config, seed, simulator)
+    result = _aggregate(config.device, mrun)
     if config.decode_video:
-        receiver_video = _reconstruct(
-            bitstream, run, run.usable_by_receiver,
-            config.sensitivity_fraction, config.receiver_mode,
-        )
-        eavesdropper_video = _reconstruct(
-            bitstream, run, run.usable_by_eavesdropper,
-            config.sensitivity_fraction, config.eavesdropper_mode,
-        )
-        result.receiver_psnr_db = sequence_psnr(original, receiver_video)
-        result.receiver_mos = sequence_mos(original, receiver_video)
-        result.eavesdropper_psnr_db = sequence_psnr(original, eavesdropper_video)
-        result.eavesdropper_mos = sequence_mos(original, eavesdropper_video)
-
+        _reconstruct(original, bitstream, config, result)
     return result
 
 
-def _run_multiflow_experiment(bitstream: Bitstream, config: ExperimentConfig,
-                              seed: Optional[Seed]) -> ExperimentResult:
-    """The ``flows > 1`` cell: N contending senders on the event kernel.
+def _uses_simulator(config: ExperimentConfig) -> bool:
+    """Single-flow static kernel cells run on :class:`SenderSimulator`."""
+    return (config.flows == 1 and config.mobility is None
+            and config.engine != "vector")
 
-    Scalar metrics aggregate across flows — delays over every packet of
-    every flow, and the energy breakdown is the *average sender's*:
-    per-flow CPU/radio busy times averaged over the shared transfer
-    window (every phone is powered for the whole contention period).
-    """
-    from .multiflow import run_multiflow  # imports this module's config
 
-    mrun = run_multiflow(
+def _transfer(bitstream: Bitstream, config: ExperimentConfig,
+              seed: Optional[Seed],
+              simulator: Optional[SenderSimulator]) -> MultiFlowRun:
+    if _uses_simulator(config):
+        simulator = simulator or SenderSimulator(
+            bitstream,
+            device=config.device,
+            link=config.link,
+            transport=config.transport,
+        )
+        return MultiFlowRun([simulator.run(config.policy, seed=seed)])
+    if config.mobility is not None:
+        from ..mobility import run_mobility  # imports this module's config
+
+        return run_mobility(
+            bitstream,
+            mobility=config.mobility,
+            flows=config.flows,
+            policy=config.policy,
+            device=config.device,
+            transport=config.transport,
+            seed=seed,
+            engine=config.engine,
+        ).flows_run
+    return run_multiflow(
         bitstream,
         flows=config.flows,
         policy=config.policy,
@@ -330,15 +301,25 @@ def _run_multiflow_experiment(bitstream: Bitstream, config: ExperimentConfig,
         transport=config.transport,
         link=config.link,
         seed=seed,
-        engine="vector" if config.engine == "vector" else "events",
+        engine=config.engine,
     )
+
+
+def _aggregate(device: DeviceProfile, mrun: MultiFlowRun) -> ExperimentResult:
+    """Scalar metrics over every flow of one transfer.
+
+    Delays average over every packet of every flow.  The energy
+    breakdown is the *average sender's*: per-flow CPU/radio busy times
+    averaged over the shared transfer window (every phone is powered
+    until the last departure).  Exact for one flow: ``np.mean`` and
+    ``max`` over a single element return that element.
+    """
     traces = [run.trace for run in mrun.flows]
     delays = [t.sojourn_time_s for trace in traces for t in trace]
     waits = [t.waiting_time_s for trace in traces for t in trace]
-    duration = mrun.makespan_s
     energy = average_power_w(
-        config.device,
-        duration_s=duration,
+        device,
+        duration_s=mrun.makespan_s,
         crypto_time_s=float(np.mean(
             [trace.total_crypto_time_s() for trace in traces])),
         airtime_s=float(np.mean(
@@ -353,64 +334,23 @@ def _run_multiflow_experiment(bitstream: Bitstream, config: ExperimentConfig,
     )
 
 
-def _run_mobility_experiment(original: Sequence420, bitstream: Bitstream,
-                             config: ExperimentConfig,
-                             seed: Optional[Seed]) -> ExperimentResult:
-    """A mobility cell: senders riding the profile's link timeline.
+def _reconstruct(original: Sequence420, bitstream: Bitstream,
+                 config: ExperimentConfig, result: ExperimentResult) -> None:
+    """Decode flow 0 at the legitimate receiver (decrypts everything
+    delivered) and at the eavesdropper (encrypted packets are
+    erasures), and score both against the original clip."""
+    run = result.run
 
-    Aggregation matches :func:`_run_multiflow_experiment`; single-flow
-    event-kernel cells may additionally reconstruct the received video
-    (``decode_video=True``), which is how handoff bursts show up as
-    GOP-correlated PSNR/MOS damage.
-    """
-    from ..mobility import run_mobility  # imports this module's config
+    def observe(usable: List[bool], mode: str) -> Tuple[float, float]:
+        decodable = frames_decodable(run.packets, usable,
+                                     config.sensitivity_fraction)
+        video = conceal_decode(bitstream, decodable, mode=mode).sequence
+        return sequence_psnr(original, video), sequence_mos(original, video)
 
-    mob = run_mobility(
-        bitstream,
-        mobility=config.mobility,
-        flows=config.flows,
-        policy=config.policy,
-        device=config.device,
-        transport=config.transport,
-        seed=seed,
-        engine="vector" if config.engine == "vector" else "events",
-    )
-    mrun = mob.flows_run
-    traces = [run.trace for run in mrun.flows]
-    delays = [t.sojourn_time_s for trace in traces for t in trace]
-    waits = [t.waiting_time_s for trace in traces for t in trace]
-    energy = average_power_w(
-        config.device,
-        duration_s=mrun.makespan_s,
-        crypto_time_s=float(np.mean(
-            [trace.total_crypto_time_s() for trace in traces])),
-        airtime_s=float(np.mean(
-            [trace.total_airtime_s() for trace in traces])),
-    )
-    result = ExperimentResult(
-        run=mrun.flows[0],
-        mean_delay_ms=float(np.mean(delays)) * 1e3,
-        mean_waiting_ms=float(np.mean(waits)) * 1e3,
-        energy=energy,
-        multiflow=mrun,
-    )
-    if config.decode_video:
-        run = mrun.flows[0]
-        receiver_video = _reconstruct(
-            bitstream, run, run.usable_by_receiver,
-            config.sensitivity_fraction, config.receiver_mode,
-        )
-        eavesdropper_video = _reconstruct(
-            bitstream, run, run.usable_by_eavesdropper,
-            config.sensitivity_fraction, config.eavesdropper_mode,
-        )
-        result.receiver_psnr_db = sequence_psnr(original, receiver_video)
-        result.receiver_mos = sequence_mos(original, receiver_video)
-        result.eavesdropper_psnr_db = sequence_psnr(
-            original, eavesdropper_video)
-        result.eavesdropper_mos = sequence_mos(
-            original, eavesdropper_video)
-    return result
+    result.receiver_psnr_db, result.receiver_mos = observe(
+        run.usable_by_receiver, config.receiver_mode)
+    result.eavesdropper_psnr_db, result.eavesdropper_mos = observe(
+        run.usable_by_eavesdropper, config.eavesdropper_mode)
 
 
 @dataclass
@@ -443,13 +383,12 @@ def run_repeated(
     """
     if repeats < 1:
         raise ValueError("need at least one repetition")
-    simulator = None if (config.flows > 1 or config.mobility is not None) \
-        else SenderSimulator(
+    simulator = SenderSimulator(
         bitstream,
         device=config.device,
         link=config.link,
         transport=config.transport,
-    )
+    ) if _uses_simulator(config) else None
     seeds = np.random.SeedSequence(base_seed).spawn(repeats)
     results = [
         run_experiment(original, bitstream, config,

@@ -72,8 +72,9 @@ class ContentionMAC:
 
     ``channel`` adds residual per-packet loss *under* the MAC retries:
     a packet must survive both the retry-folded delivery rate and the
-    channel's (possibly bursty) state.  ``None`` reproduces the
-    single-flow legacy semantics exactly.
+    channel's (possibly bursty) state.  ``None`` is the plain
+    retry-folded delivery model, the one
+    :class:`~repro.testbed.simulator.SenderSimulator` runs.
     """
 
     def __init__(self, kernel: EventKernel, *, link: LinkConfig,
@@ -106,8 +107,9 @@ class ContentionMAC:
         """Sample one packet's fate on this MAC.
 
         The flow's own ``rng`` draws the MAC-level Bernoulli first (so
-        with ``channel=None`` the stream is draw-for-draw identical to
-        the legacy path), then the channel gets a veto per attempt.
+        with ``channel=None`` the stream is draw-for-draw
+        :meth:`PacketService.delivery`'s), then the channel gets a veto
+        per attempt.
         """
         rate = self.link.delivery_rate
         if self.channel is None:

@@ -11,18 +11,15 @@ Arrival process: frame ``f`` is read at ``f / fps``; an I-frame's MTU
 fragments are enqueued back to back at the disk read rate, which is what
 creates the two-phase (burst/trickle) structure the 2-MMPP models.
 
-Two execution engines produce the run:
-
-- ``"legacy"`` — the original single loop, one packet at a time (the
-  sender owns the channel, eq. 19's single-flow assumption);
-- ``"events"`` — the same flow as the single-flow special case of the
-  :mod:`repro.testbed.events` kernel, sharing the channel through a
-  :class:`~repro.testbed.multiflow.ContentionMAC`.
-
-Both engines consume the same :class:`PacketService` sampling object in
-the same per-packet draw order (encryption, backoff, delivery,
-transmission), so with identical seeds they produce *identical* traces —
-``tests/test_events_differential.py`` asserts exact equality.
+The run is the single-flow special case of the
+:mod:`repro.testbed.events` kernel: one
+:class:`~repro.testbed.multiflow.FlowProcess` owning an uncontended
+:class:`~repro.testbed.multiflow.ContentionMAC` (eq. 19's single sender
+owning the channel).  Every engine samples through the same
+:class:`PacketService` in the same per-packet draw order (encryption,
+backoff, delivery, transmission), so the vector engine's oracle mode
+replays this run bit for bit — ``tests/test_events_differential.py``
+asserts exact equality.
 """
 
 from __future__ import annotations
@@ -39,14 +36,11 @@ from ..video.packetizer import DEFAULT_MTU, Packet, packetize
 from ..wifi.dcf import DcfParameters, DcfSolution, solve_dcf
 from ..wifi.phy import Phy80211g
 from .devices import DeviceProfile
-from .tracing import PacketTrace, TraceLog
+from .tracing import TraceLog
 from .transport import UDP_RTP, TransportConfig, delivery_outcome
 
 __all__ = ["LinkConfig", "PacketService", "SenderSimulator",
            "SimulationRun", "arrival_times", "sample_backoff_time"]
-
-ENGINES = ("legacy", "events")
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -94,10 +88,11 @@ def sample_backoff_time(dcf: DcfSolution, rng: np.random.Generator) -> float:
 class PacketService:
     """The stochastic per-packet service components (paper eqs. 6-7, 15).
 
-    Both execution engines sample through this object, and the per-packet
-    draw order — encryption, backoff, delivery, transmission — is part of
-    its contract: it is what makes the legacy loop and the event kernel
-    produce identical streams from identical seeds.
+    Every execution engine samples through this object, and the
+    per-packet draw order — encryption, backoff, delivery, transmission
+    — is part of its contract: it is what makes the event kernel and the
+    vector engine's oracle mode produce identical streams from identical
+    seeds.
     """
 
     link: LinkConfig
@@ -156,18 +151,13 @@ class SenderSimulator:
         mtu: int = DEFAULT_MTU,
         disk_read_rate_pkts_per_s: float = 600.0,
         padding: str = "none",
-        engine: str = "legacy",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.bitstream = bitstream
         self.device = device
         self.link = link or LinkConfig.default()
         self.transport = transport
         self.mtu = mtu
         self.disk_read_rate = disk_read_rate_pkts_per_s
-        self.engine = engine
         self.packets = packetize(bitstream, mtu=mtu, carry_payload=False)
         if padding != "none":
             # Traffic-analysis countermeasure (see testbed.traffic_analysis):
@@ -193,79 +183,12 @@ class SenderSimulator:
     # -- the run ------------------------------------------------------------------
 
     def run(self, policy: EncryptionPolicy, *,
-            seed: "Optional[int | np.random.SeedSequence]" = None,
-            engine: Optional[str] = None) -> SimulationRun:
-        """One transfer of the whole clip under ``policy``.
-
-        ``engine`` overrides the simulator-wide engine for this run:
-        ``"legacy"`` is the original loop, ``"events"`` routes the same
-        flow through the discrete-event kernel (identical results for
-        identical seeds; the kernel additionally supports multi-flow
-        contention via :mod:`repro.testbed.multiflow`).
-        """
-        engine = engine or self.engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine == "events":
-            return self._run_events(policy, seed)
-        return self._run_legacy(policy, seed)
-
-    def _run_legacy(self, policy: EncryptionPolicy,
-                    seed: "Optional[int | np.random.SeedSequence]"
-                    ) -> SimulationRun:
-        rng = np.random.default_rng(seed)
-        service = self._service(policy)
-        arrivals = self._arrival_times()
-
-        traces: List[PacketTrace] = []
-        usable_receiver: List[bool] = []
-        usable_eavesdropper: List[bool] = []
-        server_free_at = 0.0
-
-        for packet, arrival in zip(self.packets, arrivals):
-            start = max(arrival, server_free_at)
-            encryption = service.encryption_time(packet, rng)
-            backoff = service.backoff_time(rng)
-            outcome = service.delivery(rng)
-            transmission = (service.transmission_time(packet, rng)
-                            * outcome.attempts)
-            transmit_at = start + encryption + backoff + outcome.extra_delay_s
-            departure = transmit_at + transmission
-            server_free_at = departure
-
-            encrypted = bool(encryption > 0.0 or service.encrypts(packet))
-            traces.append(PacketTrace(
-                sequence_number=packet.sequence_number,
-                frame_index=packet.frame_index,
-                frame_type=packet.frame_type,
-                payload_bytes=packet.payload_size,
-                encrypted=encrypted,
-                enqueue_time_s=float(arrival),
-                service_start_s=float(start),
-                encryption_time_s=float(encryption),
-                transmit_time_s=float(transmit_at),
-                departure_time_s=float(departure),
-                delivered=outcome.delivered,
-                attempts=outcome.attempts,
-            ))
-            usable_receiver.append(outcome.delivered)
-            usable_eavesdropper.append(outcome.delivered and not encrypted)
-
-        return SimulationRun(
-            trace=TraceLog(traces),
-            packets=self.packets,
-            usable_by_receiver=usable_receiver,
-            usable_by_eavesdropper=usable_eavesdropper,
-        )
-
-    def _run_events(self, policy: EncryptionPolicy,
-                    seed: "Optional[int | np.random.SeedSequence]"
-                    ) -> SimulationRun:
-        """The same transfer as the single-flow special case of the
-        event kernel: one FlowProcess, an uncontended ContentionMAC
-        built from this simulator's link (no DCF re-solve), and a flow
-        RNG constructed exactly like the legacy path's."""
+            seed: "Optional[int | np.random.SeedSequence]" = None
+            ) -> SimulationRun:
+        """One transfer of the whole clip under ``policy``: one
+        FlowProcess on an uncontended ContentionMAC built from this
+        simulator's link (no DCF re-solve), drawing from
+        ``default_rng(seed)``."""
         # Imported here: multiflow builds on this module's PacketService.
         from .events import EventKernel
         from .multiflow import ContentionMAC, FlowProcess

@@ -26,7 +26,10 @@ from .codec import CodecConfig, Decoder
 from .gop import Bitstream, FrameType
 from .yuv import Frame, Sequence420
 
-__all__ = ["ConcealedFrame", "ConcealmentResult", "conceal_decode"]
+__all__ = ["CONCEALMENT_MODES", "ConcealedFrame", "ConcealmentResult",
+           "conceal_decode"]
+
+CONCEALMENT_MODES = ("strict", "best_effort")
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def conceal_decode(
     config = config or CodecConfig(
         gop_size=bitstream.gop_layout.gop_size, quantizer=bitstream.quantizer
     )
-    if mode not in ("strict", "best_effort"):
+    if mode not in CONCEALMENT_MODES:
         raise ValueError(f"unknown concealment mode {mode!r}")
     if any(frame.frame_type is FrameType.B for frame in bitstream):
         return _conceal_decode_b(bitstream, decodable, config, mode)

@@ -145,6 +145,14 @@ class TestCommands:
         assert any("bench_advisor_sweep.py --smoke" in line
                    for line in runs)
 
+    def test_tier1_runs_perfbench_on_one_python(self, workflow):
+        """A renamed or bypassed layer that the repo benchmark wraps must
+        fail the PR, not the next benchmark run; once per matrix is
+        enough, so the step is pinned to 3.11."""
+        step = next(step for step in _steps(workflow, "tier-1")
+                    if step.get("run") == "python -m pytest perfbench -q")
+        assert step["if"] == "matrix.python-version == '3.11'"
+
     def test_bench_gate_checks_trend(self, workflow):
         runs = _run_lines(workflow, "bench-gate")
         assert any("crypto_microbench.py" in line for line in runs)

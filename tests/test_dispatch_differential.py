@@ -4,7 +4,6 @@ duplicate simulations, and survive worker death mid-lease."""
 
 import json
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -19,6 +18,7 @@ from repro.testbed import (
     WorkQueue,
     run_worker,
 )
+from repro.testbed.queue import _lease_payload
 from repro.video import CodecConfig, encode_sequence, generate_clip
 
 POLICIES = ("none", "I", "all")
@@ -160,8 +160,9 @@ class TestFaultInjection:
         dead_task = queue.claim()
         assert dead_task is not None
         lease = queue.path / "leases" / f"{dead_task.key}.json"
-        old = time.time() - 120.0
-        os.utime(lease, (old, old))  # its lease has since expired
+        # its lease has since expired: the payload's renewed_at stamp is
+        # the authoritative heartbeat, so backdate that (not just mtime)
+        lease.write_bytes(_lease_payload(dead_task, time.time() - 120.0))
 
         report = run_worker(queue)  # the surviving worker
         assert report.failed == 0

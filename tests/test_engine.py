@@ -16,7 +16,7 @@ from repro.testbed import (
 
 
 def _config(policy_name="I", algorithm="AES256", decode=False, flows=1,
-            engine="legacy"):
+            engine=None):
     return ExperimentConfig(
         policy=standard_policies(algorithm)[policy_name],
         device=DEVICES["samsung-s2"],
@@ -263,6 +263,9 @@ class TestScenarios:
         multi = describe_config(_config("I", flows=2, engine="events"))
         assert multi["flows"] == 2
         assert multi["engine"] == "events"
+        # schema v4: a default-engine multi-flow cell resolves to the
+        # kernel and keeps the explicit-events cell's payload.
+        assert describe_config(_config("I", flows=2)) == multi
 
     def test_multiflow_cells_run_and_cache(self, engine_factory, tmp_path):
         engine = engine_factory(workers=1, cache=ResultCache(tmp_path))

@@ -10,6 +10,9 @@ from repro.testbed import (
     run_experiment,
     run_repeated,
 )
+from repro.video.concealment import conceal_decode
+from repro.video.packetizer import frames_decodable
+from repro.video.quality import sequence_mos, sequence_psnr
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +145,18 @@ class TestMultiFlow:
             ExperimentConfig(**base, flows=2, engine="legacy")
         with pytest.raises(ValueError, match="engine"):
             ExperimentConfig(**base, flows=2, engine="simpy")
-        with pytest.raises(ValueError, match="decode_video"):
-            ExperimentConfig(policy=standard_policies("AES256")["I"],
-                             device=GALAXY_S2, sensitivity_fraction=0.55,
-                             decode_video=True, flows=2, engine="events")
+        # The default engine resolves to the kernel for contention, and
+        # multi-flow cells may decode (flow 0 is reconstructed).
+        default = ExperimentConfig(**base, flows=2)
+        explicit = ExperimentConfig(**base, flows=2, engine="events")
+        assert default.engine == "events"
+        assert default.to_description() == explicit.to_description()
+        decoding = ExperimentConfig(policy=standard_policies("AES256")["I"],
+                                    device=GALAXY_S2,
+                                    sensitivity_fraction=0.55,
+                                    decode_video=True, flows=2,
+                                    engine="events")
+        assert decoding.decode_video
 
     def test_multiflow_experiment_produces_metrics(self, slow_clip,
                                                    slow_bitstream):
@@ -172,6 +183,76 @@ class TestMultiFlow:
         assert repeated.delay_ms.n == 3
         assert len(repeated.runs) == 3
         assert repeated.delay_ms.mean > 0
+
+
+class TestReconstruction:
+    """One reconstruction stage: every engine and flow count decodes
+    flow 0 at both observers."""
+
+    @staticmethod
+    def _expected(clip, bitstream, config, run):
+        scores = []
+        for usable, mode in ((run.usable_by_receiver, config.receiver_mode),
+                             (run.usable_by_eavesdropper,
+                              config.eavesdropper_mode)):
+            decodable = frames_decodable(run.packets, usable,
+                                         config.sensitivity_fraction)
+            video = conceal_decode(bitstream, decodable, mode=mode).sequence
+            scores += [sequence_psnr(clip, video), sequence_mos(clip, video)]
+        return scores
+
+    @pytest.mark.parametrize("flows,engine", [(1, "vector"), (2, "events"),
+                                              (3, "vector")])
+    def test_decode_reconstructs_flow_zero(self, slow_clip, slow_bitstream,
+                                           flows, engine):
+        config = ExperimentConfig(
+            policy=standard_policies("AES256")["I"], device=GALAXY_S2,
+            sensitivity_fraction=0.55, flows=flows, engine=engine)
+        result = run_experiment(slow_clip, slow_bitstream, config, seed=4)
+        assert result.multiflow.n_flows == flows
+        assert result.run is result.multiflow.flows[0]
+        assert [result.receiver_psnr_db, result.receiver_mos,
+                result.eavesdropper_psnr_db, result.eavesdropper_mos] == \
+            self._expected(slow_clip, slow_bitstream, config, result.run)
+        assert result.receiver_psnr_db > 30.0
+        assert result.eavesdropper_psnr_db < 15.0
+
+
+class TestConfigFields:
+    """Observer modes and the sensitivity fraction are validated at
+    construction, so a bad cell never reaches a worker or a cache key."""
+
+    BASE = dict(policy=standard_policies("AES256")["I"], device=GALAXY_S2,
+                sensitivity_fraction=0.55)
+
+    @pytest.mark.parametrize("field,value", [
+        ("receiver_mode", "bogus"),
+        ("eavesdropper_mode", "nope"),
+        ("sensitivity_fraction", 7.5),
+        ("sensitivity_fraction", -0.1),
+        ("sensitivity_fraction", float("nan")),
+    ])
+    def test_constructor_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{**self.BASE, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("receiver_mode", "bogus"),
+        ("eavesdropper_mode", "nope"),
+        ("sensitivity_fraction", 7.5),
+    ])
+    def test_wire_path_rejects(self, field, value):
+        description = ExperimentConfig(**self.BASE).to_description()
+        description[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_description(description)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_bounds_inclusive(self, fraction):
+        config = ExperimentConfig(**{**self.BASE,
+                                     "sensitivity_fraction": fraction})
+        assert ExperimentConfig.from_description(
+            config.to_description()) == config
 
 
 class TestEnergyAccounting:

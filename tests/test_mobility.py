@@ -303,10 +303,18 @@ class TestExperimentConfig:
         assert "mobility" not in config.to_description()
 
     def test_mobility_requires_modern_engine(self):
-        with pytest.raises(ValueError, match="legacy"):
-            ExperimentConfig(
-                policy=POLICY, device=DEVICE, sensitivity_fraction=0.55,
-                mobility="parked")
+        """A default-engine mobility cell resolves to the event kernel,
+        with the explicit-events cell's description (and seeds)."""
+        default = ExperimentConfig(
+            policy=POLICY, device=DEVICE, sensitivity_fraction=0.55,
+            mobility="parked")
+        explicit = ExperimentConfig(
+            policy=POLICY, device=DEVICE, sensitivity_fraction=0.55,
+            engine="events", mobility="parked")
+        assert default.engine == "events"
+        assert default.to_description() == explicit.to_description()
+        assert ExperimentConfig.from_description(
+            default.to_description()) == explicit
 
     def test_bad_spec_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="unknown mobility profile"):

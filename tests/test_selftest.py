@@ -12,7 +12,8 @@ class TestRunSelftest:
         results = run_selftest()
         assert [r.name for r in results] == [
             "crypto-kat", "cached-engine", "event-kernel", "vector-flows",
-            "vector-models", "mobility", "net-queue", "advise-serve"]
+            "sender-oracle", "vector-models", "mobility", "net-queue",
+            "advise-serve"]
         failures = [r for r in results if not r.ok]
         assert not failures, [f"{r.name}: {r.detail}" for r in failures]
 
@@ -24,6 +25,13 @@ class TestRunSelftest:
         assert results[0].ok, results[0].detail
         assert "oracle==kernel" in results[0].detail
         assert "handoffs" in results[0].detail
+
+    def test_sender_oracle_check_proves_the_differential(self):
+        """The single-flow sender must equal the vector oracle path."""
+        results = run_selftest(["sender-oracle"])
+        assert [r.name for r in results] == ["sender-oracle"]
+        assert results[0].ok, results[0].detail
+        assert "kernel==vector oracle" in results[0].detail
 
     def test_subset_selection(self):
         results = run_selftest(["crypto-kat"])

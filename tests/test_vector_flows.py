@@ -1,7 +1,7 @@
 """The struct-of-arrays fast path vs the coroutine kernel.
 
-The vector engine's contract has two tiers, mirroring the legacy-vs-
-events differential layer one level up:
+The vector engine's contract has two tiers; the oracle tier is also
+the single-flow sender's reference (``test_events_differential.py``):
 
 - ``sampling="oracle"`` + ``scheduler="exact"`` must reproduce the
   event kernel's traces *bit for bit* — hypothesis sweeps seeds, flow
