@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Micro-benchmark: scalar vs vectorized OFB throughput (AES256 and 3DES).
+"""Micro-benchmark: scalar OFB cipher throughput (AES256 and 3DES) plus
+the result-cache layer.
 
 Encrypts a payload the way the paper's sender does — split into MTU-sized
-RTP segments, each under its own derived IV (Section 5) — once through
-the scalar byte-oriented ciphers and once through the numpy batch paths
-(T-table AES, packed-lane 3DES), and emits ``BENCH_crypto.json`` so the
-performance trajectory is tracked from PR to PR.
+RTP segments, each under its own derived IV (Section 5) — through the
+byte-oriented reference ciphers that the ``T_e`` calibration times, and
+emits ``BENCH_crypto.json`` so the performance trajectory is tracked
+from PR to PR.
 
 Run from the repo root::
 
@@ -13,11 +14,11 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/crypto_microbench.py --check-trend
 
 The scalar ciphers are slow by construction (they are the readable
-reference implementations), so by default they are timed on smaller
-samples of the same segment stream and reported as bytes/second; pass
-``--full-scalar`` to push the entire payload through them.  3DES gets a
-smaller default sample than AES because its scalar path is ~7x slower
-per byte (which is exactly the paper's Table 1 point).
+reference implementations), so by default they are timed on samples of
+the segment stream and reported as bytes/second; pass ``--full-scalar``
+to push the entire payload through them.  3DES gets a smaller default
+sample than AES because it is several times slower per byte (which is
+exactly the paper's Table 1 point).
 
 ``--check-trend`` runs the regression gate (``repro bench trend``)
 against ``benchmarks/results/bench_baseline.json`` after writing the
@@ -34,14 +35,7 @@ import time
 from pathlib import Path
 
 from repro.cli import main as repro_main
-from repro.crypto import (
-    AES,
-    OFBMode,
-    TripleDES,
-    VectorAES,
-    VectorTripleDES,
-    derive_iv,
-)
+from repro.crypto import AES, OFBMode, TripleDES, derive_iv
 from repro.testbed.cache import ResultCache, RunMetrics
 
 DEFAULT_PAYLOAD = 1 << 20          # the acceptance target: 1 MiB
@@ -71,51 +65,21 @@ def _segments(total_bytes: int, segment_bytes: int, block_size: int = 16):
     return ivs, payloads
 
 
-def _time_scalar(cipher, ivs, payloads) -> float:
+def _bench_cipher(label: str, cipher, block_size: int, sample_bytes: int,
+                  segment_bytes: int) -> dict:
+    """Scalar OFB throughput for one cipher over ``sample_bytes`` of the
+    segment stream."""
+    ivs, payloads = _segments(sample_bytes, segment_bytes, block_size)
     mode = OFBMode(cipher)
     start = time.perf_counter()
     for iv, payload in zip(ivs, payloads):
         mode.encrypt(iv, payload)
-    return time.perf_counter() - start
-
-
-def _time_vector(cipher, ivs, payloads) -> float:
-    mode = OFBMode(cipher)
-    start = time.perf_counter()
-    mode.encrypt_segments(ivs, payloads)
-    return time.perf_counter() - start
-
-
-def _bench_cipher(label: str, scalar_factory, vector_factory,
-                  block_size: int, total_bytes: int, segment_bytes: int,
-                  scalar_sample: int) -> dict:
-    """Scalar-vs-vector OFB section for one cipher."""
-    ivs, payloads = _segments(total_bytes, segment_bytes, block_size)
-
-    # Correctness cross-check before timing anything.
-    spot_mode = OFBMode(scalar_factory())
-    vec_mode = OFBMode(vector_factory())
-    spot = vec_mode.encrypt_segments(ivs[:3], payloads[:3])
-    for iv, payload, got in zip(ivs[:3], payloads[:3], spot):
-        assert got == spot_mode.encrypt(iv, payload), \
-            f"{label} vector path diverged"
-
-    vector_s = _time_vector(vector_factory(), ivs, payloads)
-
-    scalar_ivs, scalar_payloads = _segments(
-        min(scalar_sample, total_bytes), segment_bytes, block_size)
-    scalar_bytes = sum(len(p) for p in scalar_payloads)
-    scalar_s = _time_scalar(scalar_factory(), scalar_ivs, scalar_payloads)
-
-    scalar_rate = scalar_bytes / scalar_s
-    vector_rate = total_bytes / vector_s
+    elapsed = time.perf_counter() - start
     return {
         "cipher": label,
         "segments": len(payloads),
-        "scalar_sample_bytes": scalar_bytes,
-        "scalar_bytes_per_s": scalar_rate,
-        "vector_bytes_per_s": vector_rate,
-        "speedup": vector_rate / scalar_rate,
+        "scalar_sample_bytes": sample_bytes,
+        "scalar_bytes_per_s": sample_bytes / elapsed,
     }
 
 
@@ -174,7 +138,7 @@ def main() -> None:
     parser.add_argument("--segment-bytes", type=int, default=DEFAULT_SEGMENT,
                         help="RTP segment size (default 1460)")
     parser.add_argument("--full-scalar", action="store_true",
-                        help="time the scalar path on the full payload "
+                        help="time the ciphers on the full payload "
                              "instead of a sample")
     parser.add_argument("--out", type=Path, default=Path("BENCH_crypto.json"),
                         help="output JSON path (default ./BENCH_crypto.json)")
@@ -195,15 +159,14 @@ def main() -> None:
     if args.segment_bytes < 3:
         parser.error("--segment-bytes must be at least 3")
 
-    aes_sample = args.bytes if args.full_scalar else DEFAULT_SCALAR_SAMPLE
-    aes = _bench_cipher("AES256-OFB", lambda: AES(KEY),
-                        lambda: VectorAES(KEY), 16,
-                        args.bytes, args.segment_bytes, aes_sample)
-    des_sample = (args.bytes if args.full_scalar
-                  else DEFAULT_SCALAR_SAMPLE_3DES)
-    des3 = _bench_cipher("3DES-OFB", lambda: TripleDES(KEY_3DES),
-                         lambda: VectorTripleDES(KEY_3DES), 8,
-                         args.bytes, args.segment_bytes, des_sample)
+    def sample(default: int) -> int:
+        return args.bytes if args.full_scalar else min(default, args.bytes)
+
+    aes = _bench_cipher("AES256-OFB", AES(KEY), 16,
+                        sample(DEFAULT_SCALAR_SAMPLE), args.segment_bytes)
+    des3 = _bench_cipher("3DES-OFB", TripleDES(KEY_3DES), 8,
+                         sample(DEFAULT_SCALAR_SAMPLE_3DES),
+                         args.segment_bytes)
 
     report = {
         "workload": {
@@ -221,9 +184,7 @@ def main() -> None:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for label, section in (("AES256", report), ("3DES", des3)):
         print(f"{label:7s}: scalar {section['scalar_bytes_per_s'] / 1e3:8.1f}"
-              f" KB/s, vector {section['vector_bytes_per_s'] / 1e3:8.1f} KB/s,"
-              f" speedup {section['speedup']:.1f}x")
-    print("target : >= 10x (AES256), >= 50x (3DES)")
+              " KB/s")
     if "cache" in report:
         cache = report["cache"]
         print(f"cache  : {cache['entries']} entries"

@@ -7,9 +7,9 @@ metric regressed by more than the threshold, so crypto/cache performance
 regressions are caught the moment they land rather than archaeologically.
 
 Gating policy: only *throughput* metrics — leaves whose key ends in
-``_per_s`` (this covers ``scalar_bytes_per_s`` / ``vector_bytes_per_s``
-and the cache's ``cold_put_per_s`` / ``warm_get_per_s``) — participate in
-the gate.  Latency leaves (``*_s``), ratios (``speedup``) and workload
+``_per_s`` (this covers the ciphers' ``scalar_bytes_per_s`` and the
+cache's ``cold_put_per_s`` / ``warm_get_per_s``) — participate in the
+gate.  Latency leaves (``*_s``), ratios (``speedup``) and workload
 descriptors are reported for context but never fail the run: they are
 either derived from the gated numbers or too noisy at bench scale to gate
 on.  Metrics present on only one side are reported as ``new``/``missing``

@@ -347,7 +347,7 @@ def cmd_cache(args) -> int:
             rows = [[name, str(stats[name])] for name in (
                 "backend", "index_backend", "entries", "total_bytes",
                 "hits", "misses", "hit_rate", "evictions", "corrupt",
-                "migrated", "max_bytes", "max_entries",
+                "max_bytes", "max_entries",
             )]
             print(render_table(["statistic", "value"], rows,
                                title=f"result cache at {args.dir}"))

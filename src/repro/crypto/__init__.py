@@ -14,16 +14,8 @@ from .timing import (
     CIPHERS,
     CipherCost,
     make_cipher,
-    make_fast_cipher,
     measure_cipher_cost,
     reference_cipher_cost,
-)
-from .vector import (
-    VectorAES,
-    VectorDES,
-    VectorTripleDES,
-    has_vector_support,
-    make_vector_cipher,
 )
 
 __all__ = [
@@ -35,12 +27,6 @@ __all__ = [
     "CIPHERS",
     "CipherCost",
     "make_cipher",
-    "make_fast_cipher",
     "measure_cipher_cost",
     "reference_cipher_cost",
-    "VectorAES",
-    "VectorDES",
-    "VectorTripleDES",
-    "has_vector_support",
-    "make_vector_cipher",
 ]

@@ -6,9 +6,7 @@ power figures (Figs. 7-13) show the "all"/"P" policies being so much more
 expensive under 3DES.  This implementation is a direct transcription of
 the FIPS 46-3 permutation tables and S-boxes, validated against the
 classic "DES illustrated" vector plus the SP 800-17 variable-plaintext /
-variable-key and NBS-validation known-answer vectors in the test suite
-(:mod:`repro.crypto.vector_des` holds the batched implementation that
-must match it bit-for-bit).
+variable-key and NBS-validation known-answer vectors in the test suite.
 """
 
 from __future__ import annotations

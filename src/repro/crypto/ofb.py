@@ -12,30 +12,17 @@ XOR of the keystream, so ciphertext length equals plaintext length (no
 padding — important because RTP payloads are odd-sized) and encryption
 and decryption are the same operation.
 
-Two performance tiers coexist here:
-
-- the scalar path XORs via ``int.from_bytes`` (stdlib-only, so receiver
-  paths without numpy still avoid per-byte Python work), upgraded to a
-  ``np.frombuffer`` vectorized XOR when numpy is importable;
-- :meth:`OFBMode.keystream_batch` / :meth:`OFBMode.encrypt_segments`
-  advance many per-segment keystream chains in lockstep, so a cipher
-  exposing ``encrypt_blocks`` (:class:`repro.crypto.vector.VectorAES`,
-  :class:`repro.crypto.vector_des.VectorTripleDES`)
-  encrypts one *batch* of blocks per call instead of one block.  A chain
-  is inherently sequential (each output block feeds the next), but the
-  paper encrypts every segment under its own IV, so real payloads are
-  many independent chains — exactly the shape numpy vectorizes.
+The XOR runs over ``np.frombuffer`` views, so even MTU-sized payloads
+never pay a per-byte Python loop; the keystream itself is generated one
+block at a time, because each output block feeds the next.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Protocol, Sequence
+from typing import Protocol
 
-try:  # numpy accelerates XOR and enables the batched keystream path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image always has numpy
-    _np = None
+import numpy as np
 
 __all__ = ["BlockCipher", "OFBMode", "derive_iv"]
 
@@ -46,35 +33,19 @@ _MAX_IV_BYTES = hashlib.sha256().digest_size
 
 class BlockCipher(Protocol):
     """Structural interface shared by :class:`~repro.crypto.aes.AES`,
-    :class:`~repro.crypto.des.DES` and :class:`~repro.crypto.des.TripleDES`.
-
-    Ciphers may additionally expose ``encrypt_blocks(np.ndarray) ->
-    np.ndarray`` over an ``(n, block_size)`` uint8 array (see
-    :class:`repro.crypto.vector.VectorAES` and
-    :class:`repro.crypto.vector_des.VectorTripleDES`); :class:`OFBMode`
-    detects it and batches keystream generation across segments.
-    """
+    :class:`~repro.crypto.des.DES` and :class:`~repro.crypto.des.TripleDES`."""
 
     block_size: int
 
     def encrypt_block(self, block: bytes) -> bytes: ...
 
 
-def _xor_bytes_stdlib(data: bytes, keystream: bytes) -> bytes:
-    """Stdlib-only XOR: one big-int XOR instead of a per-byte Python loop."""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-    ).to_bytes(len(data), "big")
-
-
 def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
-    """XOR two equal-length byte strings, vectorized when numpy is present."""
-    if _np is not None:
-        return (
-            _np.frombuffer(data, dtype=_np.uint8)
-            ^ _np.frombuffer(keystream, dtype=_np.uint8)
-        ).tobytes()
-    return _xor_bytes_stdlib(data, keystream)
+    """XOR two equal-length byte strings."""
+    return (
+        np.frombuffer(data, dtype=np.uint8)
+        ^ np.frombuffer(keystream, dtype=np.uint8)
+    ).tobytes()
 
 
 def derive_iv(session_salt: bytes, segment_index: int, block_size: int) -> bytes:
@@ -136,77 +107,3 @@ class OFBMode:
 
     # OFB is an involution given the same IV.
     decrypt = encrypt
-
-    # -- batched (multi-segment) path ---------------------------------------
-
-    def keystream_batch(self, ivs: Sequence[bytes],
-                        lengths: Sequence[int]) -> List[bytes]:
-        """Keystreams for many independent segments, advanced in lockstep.
-
-        Chain ``i`` produces ``lengths[i]`` bytes from ``ivs[i]``.  With a
-        vectorized cipher every lockstep iteration encrypts the feedback
-        blocks of *all* still-active chains in a single ``encrypt_blocks``
-        call; otherwise this degrades gracefully to the scalar path.  The
-        output is byte-identical to ``[keystream(iv, n) for iv, n in ...]``
-        either way.
-        """
-        if len(ivs) != len(lengths):
-            raise ValueError(
-                f"got {len(ivs)} IVs for {len(lengths)} lengths"
-            )
-        for iv in ivs:
-            self._check_iv(iv)
-        for length in lengths:
-            if length < 0:
-                raise ValueError(
-                    f"keystream length must be non-negative, got {length}"
-                )
-        if not ivs:
-            return []
-        encrypt_blocks = getattr(self._cipher, "encrypt_blocks", None)
-        if _np is None or encrypt_blocks is None:
-            return [self.keystream(iv, length)
-                    for iv, length in zip(ivs, lengths)]
-
-        bs = self._block_size
-        n_chains = len(ivs)
-        n_blocks = _np.array([-(-length // bs) for length in lengths])
-        max_blocks = int(n_blocks.max())
-        if max_blocks == 0:
-            # Every requested length is zero; skip the array path instead
-            # of allocating a degenerate (n, 0, bs) buffer.
-            return [b""] * n_chains
-        # Duplicate IVs are fine here: each chain row advances
-        # independently, so equal IVs simply produce equal streams (the
-        # *security* obligation to keep IVs unique lives in derive_iv).
-        feedback = (
-            _np.frombuffer(b"".join(ivs), dtype=_np.uint8)
-            .reshape(n_chains, bs)
-            .copy()
-        )
-        out = _np.zeros((n_chains, max_blocks, bs), dtype=_np.uint8)
-        for step in range(max_blocks):
-            active = _np.nonzero(n_blocks > step)[0]
-            encrypted = _np.asarray(encrypt_blocks(feedback[active]))
-            if encrypted.shape != (len(active), bs):
-                raise ValueError(
-                    f"{type(self._cipher).__name__}.encrypt_blocks returned"
-                    f" shape {encrypted.shape}, expected"
-                    f" {(len(active), bs)}"
-                )
-            feedback[active] = encrypted
-            out[active, step] = encrypted
-        return [
-            out[i].reshape(-1)[: lengths[i]].tobytes()
-            for i in range(n_chains)
-        ]
-
-    def encrypt_segments(self, ivs: Sequence[bytes],
-                         payloads: Sequence[bytes]) -> List[bytes]:
-        """Encrypt (or decrypt) many segments, each under its own IV."""
-        lengths = [len(payload) for payload in payloads]
-        streams = self.keystream_batch(ivs, lengths)
-        return [_xor_bytes(payload, stream)
-                for payload, stream in zip(payloads, streams)]
-
-    decrypt_segments = encrypt_segments

@@ -28,7 +28,6 @@ __all__ = [
     "CIPHERS",
     "CipherCost",
     "make_cipher",
-    "make_fast_cipher",
     "measure_cipher_cost",
     "reference_cipher_cost",
 ]
@@ -42,13 +41,11 @@ CIPHERS: Dict[str, Tuple[int, Callable[[bytes], object]]] = {
 
 
 def make_cipher(algorithm: str, key: bytes):
-    """Instantiate the *scalar* block cipher by its paper name.
+    """Instantiate the block cipher by its paper name.
 
     This is the modelled device's cipher: :func:`measure_cipher_cost`
     times it to stand in for the phone's per-packet encryption cost
-    ``T_e`` (paper eq. 15), so it must stay the byte-oriented reference
-    implementation.  Simulator bulk paths that only need the ciphertext
-    bytes — not the phone's timing — should use :func:`make_fast_cipher`.
+    ``T_e`` (paper eq. 15).
     """
     try:
         key_size, factory = CIPHERS[algorithm]
@@ -61,28 +58,6 @@ def make_cipher(algorithm: str, key: bytes):
             f"{algorithm} needs a {key_size}-byte key, got {len(key)}"
         )
     return factory(key)
-
-
-def make_fast_cipher(algorithm: str, key: bytes):
-    """Fastest available cipher for ``algorithm``: vectorized when one
-    exists (every paper algorithm has one), scalar otherwise.
-
-    Byte-identical output to :func:`make_cipher` — only the wall-clock
-    cost differs — so bulk encryption paths (the OFB segment batcher,
-    eavesdropper payload generation, benches) can call this without
-    affecting the modelled ``T_e``.
-    """
-    from .vector import make_vector_cipher
-
-    key_size, _ = CIPHERS.get(algorithm, (None, None))
-    if key_size is not None and len(key) != key_size:
-        raise ValueError(
-            f"{algorithm} needs a {key_size}-byte key, got {len(key)}"
-        )
-    vector = make_vector_cipher(algorithm, key)
-    if vector is not None:
-        return vector
-    return make_cipher(algorithm, key)
 
 
 @dataclass(frozen=True)

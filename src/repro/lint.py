@@ -1,7 +1,7 @@
 """Project-specific static checks: ``repro lint``.
 
 Generic linters cannot know this codebase's reproducibility contract,
-so this module enforces the three rules that protect it:
+so this module enforces the rules that protect it:
 
 - ``np.random.seed(...)`` is banned everywhere: global seeding makes a
   run's results depend on call order.  Use ``np.random.default_rng`` /
@@ -36,6 +36,10 @@ so this module enforces the three rules that protect it:
   traces are simulated time seeded through ``SeedSequence``; a wall
   clock or global seed would break the byte-identical warm-cache
   replay the mobility bench asserts.
+- bare ``print(...)`` is banned in the package source (``src/repro/``)
+  outside the two console front ends, ``cli.py`` and ``selftest.py``:
+  library code returns values or raises, and the front ends decide
+  what reaches stdout.
 
 A line may opt out with a trailing ``# lint: allow`` comment (used by
 code that mentions the patterns in strings, e.g. this linter's tests).
@@ -89,6 +93,11 @@ _TIMESTEP_LOOP = re.compile(
 # would break deterministic trace replay.
 _MOBILITY_CLOCK_SEED = re.compile(
     r"time\.time\s*\(\s*\)|np\.random\.seed\s*\(")
+# A call of the builtin print; method calls (``console.print(...)``) and
+# longer names (``fingerprint(...)``) never match.
+_BARE_PRINT = re.compile(r"(?<![\w.])print\s*\(")
+# The package source files that may write to stdout.
+_CONSOLE_FRONT_ENDS = {"cli.py", "selftest.py"}
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,13 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _in_package_source(path: Path) -> bool:
+    """Whether ``path`` lies under a ``src/repro/`` package tree."""
+    parts = path.parts
+    return any(parts[i:i + 2] == ("src", "repro")
+               for i in range(len(parts) - 1))
+
+
 def lint_file(path: Path) -> List[LintError]:
     """All rule violations in one Python file."""
     errors: List[LintError] = []
@@ -131,6 +147,8 @@ def lint_file(path: Path) -> List[LintError]:
     is_server = path.name == "server.py"
     in_mobility = "mobility" in path.parts
     is_mobile_vector = in_mobility and path.name == "vector.py"
+    bans_print = (_in_package_source(path)
+                  and path.name not in _CONSOLE_FRONT_ENDS)
     for number, raw in enumerate(text.splitlines(), start=1):
         if ALLOW_MARKER in raw:
             continue
@@ -184,6 +202,12 @@ def lint_file(path: Path) -> List[LintError]:
                 "time.time()/np.random.seed() in the mobility layer:"
                 " traces run on simulated time and SeedSequence streams,"
                 " or warm-cache replay stops being byte-identical",
+                raw.strip()))
+        if bans_print and _BARE_PRINT.search(line):
+            errors.append(LintError(
+                str(path), number, "print-in-library",
+                "bare print() in package source: return the value or"
+                " raise, and let cli.py/selftest.py write to stdout",
                 raw.strip()))
     return errors
 

@@ -5,9 +5,9 @@ checkout) to answer "is this tree fundamentally sound?" in a few
 seconds.  It exercises one representative slice of each load-bearing
 subsystem:
 
-- **crypto** — FIPS-197 known answers on the vectorized AES, plus
-  vector-vs-scalar agreement for AES-256 and 3DES over random blocks
-  (the property the whole perf story rests on: fast path, same bytes);
+- **crypto** — known answers on the reference ciphers the ``T_e``
+  calibration times: the FIPS-197 C.3 AES-256 vector and a 3-key 3DES
+  EDE vector;
 - **engine** — a tiny grid through the cached
   :class:`~repro.testbed.engine.ExperimentEngine` twice: the cold pass
   must simulate, the warm pass must replay every cell from cache with
@@ -66,34 +66,23 @@ class CheckResult:
 
 
 def _check_crypto_kat() -> str:
-    from .crypto import AES, TripleDES, VectorAES, VectorTripleDES
+    from .crypto import AES, TripleDES
 
-    plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
-    key256 = bytes.fromhex(
+    aes_key = bytes.fromhex(
         "000102030405060708090a0b0c0d0e0f"
         "101112131415161718191a1b1c1d1e1f")
-    expected = "8ea2b7ca516745bfeafc49904b496089"  # FIPS-197 C.3
-    got = VectorAES(key256).encrypt_block(plaintext).hex()
-    if got != expected:
+    got = AES(aes_key).encrypt_block(
+        bytes.fromhex("00112233445566778899aabbccddeeff")).hex()
+    if got != "8ea2b7ca516745bfeafc49904b496089":  # FIPS-197 C.3
         raise AssertionError(f"AES-256 FIPS vector mismatch: {got}")
 
-    rng = np.random.default_rng(20130927)
-    blocks = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)
-    scalar = AES(key256)
-    batch = VectorAES(key256).encrypt_blocks(blocks)
-    for i in range(blocks.shape[0]):
-        if batch[i].tobytes() != scalar.encrypt_block(blocks[i].tobytes()):
-            raise AssertionError(f"AES-256 vector/scalar split at block {i}")
-
-    des_key = bytes(range(24))
-    des_blocks = rng.integers(0, 256, size=(32, 8), dtype=np.uint8)
-    des_scalar = TripleDES(des_key)
-    des_batch = VectorTripleDES(des_key).encrypt_blocks(des_blocks)
-    for i in range(des_blocks.shape[0]):
-        if des_batch[i].tobytes() != des_scalar.encrypt_block(
-                des_blocks[i].tobytes()):
-            raise AssertionError(f"3DES vector/scalar split at block {i}")
-    return "FIPS-197 KAT + 64 vector/scalar blocks agree"
+    des_key = bytes.fromhex(
+        "0123456789abcdef23456789abcdef01456789abcdef0123")
+    got = TripleDES(des_key).encrypt_block(
+        bytes.fromhex("5468652071756663")).hex()
+    if got != "a826fd8ce53b855f":
+        raise AssertionError(f"3DES EDE vector mismatch: {got}")
+    return "FIPS-197 AES-256 + 3-key 3DES EDE known answers"
 
 
 def _tiny_scenario():

@@ -11,7 +11,6 @@ from .backends import (
 )
 from .cache import (
     DirectoryBackend,
-    JsonlIndexBackend,
     ResultCache,
     RunMetrics,
     SqliteIndexBackend,
@@ -90,7 +89,7 @@ __all__ = [
     "CellSummary", "ExperimentEngine", "GridCell",
     "describe_config", "scenario_fingerprint",
     "ResultCache", "RunMetrics", "code_fingerprint", "stable_key",
-    "DirectoryBackend", "SqliteIndexBackend", "JsonlIndexBackend",
+    "DirectoryBackend", "SqliteIndexBackend",
     "LinkConfig", "PacketService", "SenderSimulator", "SimulationRun",
     "EventKernel", "Request", "Resource", "Timeout", "WaitUntil",
     "ContentionMAC", "FlowProcess", "MULTIFLOW_ENGINES", "MultiFlowRun",

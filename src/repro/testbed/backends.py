@@ -8,8 +8,7 @@ Two implementations ship:
 
 - :class:`DirectoryBackend` — the original sharded file tree
   (``<dir>/ab/abcd….json``); entries are separate files, writes are
-  atomic per shard, and a separate index (sqlite or JSON-lines) keeps
-  the aggregates.  Best for one host, or debugging (entries are plain
+  atomic per shard, and a separate sqlite index keeps the aggregates.  Best for one host, or debugging (entries are plain
   JSON files you can ``cat``).
 - :class:`SqliteBackend` — a single-file WAL-mode sqlite store holding
   payload *and* index columns in one table.  WAL mode plus a busy
@@ -30,21 +29,15 @@ changes.
 from __future__ import annotations
 
 import os
+import sqlite3
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
-try:
-    import sqlite3
-except ImportError:  # pragma: no cover - stdlib sqlite3 is near-universal
-    sqlite3 = None  # type: ignore[assignment]
-
-SQLITE_AVAILABLE = sqlite3 is not None
-
 __all__ = [
-    "SQLITE_AVAILABLE", "TMP_PREFIX", "QUARANTINE_DIR", "IndexEntry",
+    "TMP_PREFIX", "QUARANTINE_DIR", "IndexEntry",
     "CacheBackend", "DirectoryBackend", "SqliteBackend",
     "parse_backend_spec", "backend_from_env",
 ]
@@ -83,9 +76,8 @@ class CacheBackend:
       post-mortem) and ``clear_quarantine() -> int``;
     - ``scan() -> Iterator[(key, size, mtime)]`` — the maintenance
       walk; hot paths never call it;
-    - ``sweep_temp(max_age_s) -> int`` and ``legacy_files()`` — file-
-      tree housekeeping; stores without temp/legacy artifacts return
-      ``0`` / nothing;
+    - ``sweep_temp(max_age_s) -> int`` — file-tree housekeeping;
+      stores without temp files return ``0``;
     - ``close()``.
     """
 
@@ -191,7 +183,7 @@ class DirectoryBackend(CacheBackend):
     def scan(self) -> Iterator[Tuple[str, int, float]]:
         """Yield ``(key, size, mtime)`` for every entry on disk.
 
-        This is the maintenance walk (migration/verify/clear); the hot
+        This is the maintenance walk (index rebuild/verify/clear); the hot
         paths — ``get``/``__len__``/``stats`` — go through the index and
         never call it.
         """
@@ -222,15 +214,6 @@ class DirectoryBackend(CacheBackend):
                     continue
         return removed
 
-    def legacy_files(self) -> Iterator[Path]:
-        """Flat-layout entries (``<key>.json`` at the top level) left by
-        the pre-sharding cache format."""
-        if not self.directory.is_dir():
-            return
-        for path in sorted(self.directory.glob("*.json")):
-            if path.is_file() and not path.name.startswith("."):
-                yield path
-
 
 # -- the single-file sqlite store ----------------------------------------------
 
@@ -256,8 +239,6 @@ class SqliteBackend(CacheBackend):
     index_capable = True
 
     def __init__(self, path, *, busy_timeout_s: float = 30.0) -> None:
-        if sqlite3 is None:  # pragma: no cover - guarded by the caller
-            raise RuntimeError("sqlite3 is not available")
         self.path = Path(path)
         self.busy_timeout_s = busy_timeout_s
         self._connection = None
@@ -352,9 +333,6 @@ class SqliteBackend(CacheBackend):
     def sweep_temp(self, max_age_s: float = 0.0) -> int:
         return 0  # no temp files: sqlite's WAL handles torn writes
 
-    def legacy_files(self) -> Iterator[Path]:
-        return iter(())  # no flat-layout past to migrate
-
     # -- index protocol (the store is its own index) -----------------------
 
     def upsert(self, entry: IndexEntry) -> None:
@@ -445,11 +423,6 @@ def parse_backend_spec(spec: Union[str, Path]) -> CacheBackend:
         path = path[2:] if path.startswith("//") else path
         if not path or path == "/":
             raise ValueError(f"sqlite backend spec needs a path: {spec!r}")
-        if not SQLITE_AVAILABLE:
-            raise ValueError(
-                f"backend spec {spec!r} needs the sqlite3 module, which is"
-                " unavailable; use a dir: backend"
-            )
         return SqliteBackend(path)
     for prefix in ("dir:", "file:"):
         if lowered.startswith(prefix):
@@ -481,8 +454,5 @@ def backend_from_env(directory, *,
     if raw in ("", "dir"):
         return DirectoryBackend(directory)
     if raw == "sqlite":
-        if not SQLITE_AVAILABLE:
-            raise ValueError(
-                f"{env_var}=sqlite but the sqlite3 module is unavailable")
         return SqliteBackend(Path(directory) / "cache.sqlite")
     return parse_backend_spec(raw)

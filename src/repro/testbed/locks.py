@@ -1,11 +1,11 @@
 """Coarse cross-process file locks for cache/queue maintenance.
 
 The result cache's maintenance operations (index rebuild, ``gc``,
-``verify``, legacy migration) were written for a single maintainer;
-with the distributed grid mode several workers share one cache
-directory and may run them concurrently.  :class:`FileLock` serialises
-those critical sections with the weakest primitive that works on every
-shared filesystem: an ``O_CREAT | O_EXCL`` lock file.
+``verify``) were written for a single maintainer; with the distributed
+grid mode several workers share one cache directory and may run them
+concurrently.  :class:`FileLock` serialises those critical sections with
+the weakest primitive that works on every shared filesystem: an
+``O_CREAT | O_EXCL`` lock file.
 
 Crash safety comes from *stale-lock breaking* rather than from holding
 OS-level locks: the lock file records who took it (host, pid) and when,

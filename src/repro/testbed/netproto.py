@@ -558,9 +558,6 @@ class TcpCacheBackend(CacheBackend):
     def sweep_temp(self, max_age_s: float = 0.0) -> int:
         return 0  # temp hygiene is the server's business
 
-    def legacy_files(self):
-        return iter(())
-
     # -- index protocol (proxied to the server's index) --------------------
 
     @staticmethod

@@ -117,11 +117,6 @@ class TestSqliteBackend:
         assert cache.stats()["entries"] == 2
         cache.close()
 
-    def test_forced_external_index_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="index"):
-            ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}",
-                                  index="jsonl")
-
 
 class TestFileLock:
     def test_exclusion_and_release(self, tmp_path):

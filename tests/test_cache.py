@@ -1,26 +1,19 @@
-"""Sharded result cache: layout, corruption handling, eviction, index
-backends, crash-safe maintenance, and legacy-flat-layout migration."""
+"""Sharded result cache: layout, corruption handling, eviction, the
+sqlite index, and crash-safe maintenance."""
 
 import hashlib
 import json
-import shutil
 
 import pytest
 
 from repro.testbed.cache import (
     QUARANTINE_DIR,
-    SQLITE_AVAILABLE,
-    IndexEntry,
-    JsonlIndexBackend,
     ResultCache,
     RunMetrics,
 )
 
-INDEX_KINDS = [
-    pytest.param("sqlite", marks=pytest.mark.skipif(
-        not SQLITE_AVAILABLE, reason="sqlite3 unavailable")),
-    "jsonl",
-]
+# The directory backend's derived index; sqlite is the only kind.
+INDEX_KINDS = ["sqlite"]
 
 
 def make_key(label) -> str:
@@ -39,7 +32,8 @@ def index_kind(request):
 
 @pytest.fixture()
 def cache(tmp_path, index_kind):
-    cache = ResultCache(tmp_path, index=index_kind)
+    cache = ResultCache(tmp_path)
+    assert cache.stats()["index_backend"] == index_kind
     yield cache
     cache.close()
 
@@ -140,8 +134,7 @@ class TestOrphanTempFiles:
         assert cache.stats()["entries"] == 1
 
     def test_gc_sweeps_stale_orphans(self, tmp_path, index_kind):
-        with ResultCache(tmp_path, index=index_kind,
-                         stale_tmp_seconds=0.0) as cache:
+        with ResultCache(tmp_path, stale_tmp_seconds=0.0) as cache:
             key = self._plant_orphans(cache, tmp_path)
             report = cache.gc()
             assert report["tmp_removed"] == 2
@@ -151,8 +144,7 @@ class TestOrphanTempFiles:
             assert cache.get_runs(key) == make_runs()
 
     def test_gc_spares_fresh_temp_files(self, tmp_path, index_kind):
-        with ResultCache(tmp_path, index=index_kind,
-                         stale_tmp_seconds=3600.0) as cache:
+        with ResultCache(tmp_path, stale_tmp_seconds=3600.0) as cache:
             self._plant_orphans(cache, tmp_path)
             assert cache.gc()["tmp_removed"] == 0
             assert (tmp_path / ".tmp-crashed1.json").exists()
@@ -168,8 +160,7 @@ class TestOrphanTempFiles:
 class TestEviction:
     def test_max_entries_evicts_least_recently_used(self, tmp_path,
                                                     index_kind):
-        with ResultCache(tmp_path, index=index_kind,
-                         max_entries=2) as cache:
+        with ResultCache(tmp_path, max_entries=2) as cache:
             k1, k2, k3 = (make_key(i) for i in range(3))
             cache.put_runs(k1, make_runs(1.0))
             cache.put_runs(k2, make_runs(2.0))
@@ -183,12 +174,12 @@ class TestEviction:
             assert not cache.backend.path_for(k2).exists()
 
     def test_max_bytes_respected(self, tmp_path, index_kind):
-        probe = ResultCache(tmp_path / "probe", index=index_kind)
+        probe = ResultCache(tmp_path / "probe")
         probe.put_runs(make_key("probe"), make_runs())
         entry_size = probe.total_bytes()
         probe.close()
 
-        with ResultCache(tmp_path / "real", index=index_kind,
+        with ResultCache(tmp_path / "real",
                          max_bytes=int(entry_size * 2.5)) as cache:
             for i in range(4):
                 cache.put_runs(make_key(i), make_runs())
@@ -198,8 +189,7 @@ class TestEviction:
 
     def test_newest_entry_never_evicted_by_its_own_put(self, tmp_path,
                                                        index_kind):
-        with ResultCache(tmp_path, index=index_kind,
-                         max_entries=1) as cache:
+        with ResultCache(tmp_path, max_entries=1) as cache:
             for i in range(3):
                 cache.put_runs(make_key(i), make_runs(float(i)))
                 assert cache.get_runs(make_key(i)) is not None
@@ -207,11 +197,10 @@ class TestEviction:
 
     def test_gc_enforces_caps_on_existing_directory(self, tmp_path,
                                                     index_kind):
-        with ResultCache(tmp_path, index=index_kind) as cache:
+        with ResultCache(tmp_path) as cache:
             for i in range(6):
                 cache.put_runs(make_key(i), make_runs())
-        with ResultCache(tmp_path, index=index_kind,
-                         max_entries=2) as capped:
+        with ResultCache(tmp_path, max_entries=2) as capped:
             report = capped.gc()
             assert report["evicted"] == 4
             assert report["entries"] == 2
@@ -222,51 +211,16 @@ class TestEviction:
             ResultCache(tmp_path, max_bytes=0)
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(tmp_path, max_entries=-1)
-        with pytest.raises(ValueError, match="index"):
-            ResultCache(tmp_path, index="redis")
-
-
-class TestLegacyMigration:
-    def _plant_flat_layout(self, tmp_path, n=3):
-        payloads = {}
-        for i in range(n):
-            key = make_key(f"legacy-{i}")
-            payload = {"meta": {"cell": i},
-                       "runs": [{"mean_delay_ms": float(i),
-                                 "mean_waiting_ms": 2.0,
-                                 "average_power_w": 3.0}]}
-            (tmp_path / f"{key}.json").write_text(json.dumps(payload))
-            payloads[key] = payload
-        return payloads
-
-    def test_flat_entries_adopted_into_shards(self, tmp_path, index_kind):
-        payloads = self._plant_flat_layout(tmp_path)
-        with ResultCache(tmp_path, index=index_kind) as cache:
-            assert len(cache) == 3
-            assert cache.migrated == 3
-            for key, payload in payloads.items():
-                # byte-identical payloads, now under the shard path
-                assert cache.get(key) == payload
-                assert cache.backend.path_for(key).is_file()
-                assert not (tmp_path / f"{key}.json").exists()
-            assert cache.hits == 3
-
-    def test_migrated_entries_replay_as_runs(self, tmp_path, index_kind):
-        payloads = self._plant_flat_layout(tmp_path)
-        with ResultCache(tmp_path, index=index_kind) as cache:
-            for key in payloads:
-                runs = cache.get_runs(key)
-                assert runs is not None and len(runs) == 1
 
 
 class TestIndexRebuild:
     def test_lost_index_rebuilt_from_shards(self, tmp_path, index_kind):
-        with ResultCache(tmp_path, index=index_kind) as cache:
+        with ResultCache(tmp_path) as cache:
             for i in range(3):
                 cache.put_runs(make_key(i), make_runs())
         for path in list(tmp_path.glob("index.*")):
             path.unlink()
-        with ResultCache(tmp_path, index=index_kind) as reopened:
+        with ResultCache(tmp_path) as reopened:
             assert len(reopened) == 3
             assert reopened.total_bytes() > 0
             assert reopened.get_runs(make_key(1)) is not None
@@ -304,28 +258,39 @@ class TestIndexRebuild:
         assert cache.get_runs(good) is not None
         assert cache.get_runs(adopted) is not None
 
-    @pytest.mark.skipif(not SQLITE_AVAILABLE, reason="sqlite3 unavailable")
     def test_corrupt_sqlite_index_recovered(self, tmp_path):
-        with ResultCache(tmp_path, index="sqlite") as cache:
+        with ResultCache(tmp_path) as cache:
             cache.put_runs(make_key("x"), make_runs())
         (tmp_path / "index.sqlite").write_bytes(b"this is not a database")
-        with ResultCache(tmp_path, index="sqlite") as reopened:
+        with ResultCache(tmp_path) as reopened:
             assert len(reopened) == 1  # fresh index rebuilt from shards
             assert reopened.get_runs(make_key("x")) is not None
 
-    def test_torn_jsonl_tail_skipped(self, tmp_path):
-        with ResultCache(tmp_path, index="jsonl") as cache:
-            for i in range(2):
-                cache.put_runs(make_key(i), make_runs())
-        with open(tmp_path / "index.jsonl", "a") as handle:
-            handle.write('{"op": "put", "key": "torn')  # crashed mid-append
-        with ResultCache(tmp_path, index="jsonl") as reopened:
-            assert len(reopened) == 2
+
+    def test_index_that_stays_broken_propagates(self, tmp_path,
+                                                monkeypatch):
+        """The corrupt index is deleted and reopened once; a second
+        failure is an error, not a silent fallback."""
+        import sqlite3
+
+        from repro.testbed import cache as cache_module
+
+        opened = []
+
+        def always_broken(path):
+            opened.append(path)
+            raise sqlite3.DatabaseError("file is not a database")
+
+        monkeypatch.setattr(cache_module, "SqliteIndexBackend",
+                            always_broken)
+        with pytest.raises(sqlite3.DatabaseError):
+            ResultCache(tmp_path).put_runs(make_key("x"), make_runs())
+        assert opened == [tmp_path / "index.sqlite"] * 2
 
 
-@pytest.mark.skipif(not SQLITE_AVAILABLE, reason="sqlite3 unavailable")
 class TestBackendParity:
-    """The sqlite and JSON-lines indexes must be behaviourally identical."""
+    """The sharded directory store (with its sqlite index) and the
+    single-file sqlite store must be behaviourally identical."""
 
     def _drive(self, cache):
         keys = [make_key(i) for i in range(6)]
@@ -334,7 +299,7 @@ class TestBackendParity:
         for key in keys[:2]:
             cache.get_runs(key)
         cache.get_runs("never-there")
-        cache.backend.path_for(keys[2]).write_text("{broken")
+        cache.backend.write(keys[2], b"{broken")
         cache.get_runs(keys[2])
         report = cache.gc()
         surviving = sorted(entry.key for entry in cache._index.entries())
@@ -351,31 +316,18 @@ class TestBackendParity:
         return observable
 
     def test_same_observable_behaviour(self, tmp_path):
-        with ResultCache(tmp_path / "a", index="sqlite",
+        with ResultCache(tmp_path / "dir", max_entries=3) as dir_cache:
+            via_directory = self._drive(dir_cache)
+        with ResultCache(f"sqlite:{tmp_path / 'store.sqlite'}",
                          max_entries=3) as sqlite_cache:
-            via_sqlite = self._drive(sqlite_cache)
-        with ResultCache(tmp_path / "b", index="jsonl",
-                         max_entries=3) as jsonl_cache:
-            via_jsonl = self._drive(jsonl_cache)
-        assert via_sqlite == via_jsonl
+            via_sqlite_store = self._drive(sqlite_cache)
+        assert via_directory == via_sqlite_store
 
     def test_auto_prefers_sqlite(self, tmp_path):
         with ResultCache(tmp_path) as cache:
             cache.put_runs(make_key("x"), make_runs())
             assert cache.stats()["index_backend"] == "sqlite"
             assert (tmp_path / "index.sqlite").is_file()
-
-
-class TestJsonlCompaction:
-    def test_log_compacts_instead_of_growing_forever(self, tmp_path):
-        index = JsonlIndexBackend(tmp_path / "index.jsonl")
-        for i in range(2000):
-            index.upsert(IndexEntry(f"k{i % 10}", 10, float(i), float(i)))
-        assert index.count() == 10
-        lines = (tmp_path / "index.jsonl").read_text().splitlines()
-        assert len(lines) < 1000  # compacted, not 2000 appended ops
-        reloaded = JsonlIndexBackend(tmp_path / "index.jsonl")
-        assert reloaded.count() == 10
 
 
 class TestClear:
@@ -392,17 +344,17 @@ class TestClear:
         assert cache.get_runs(make_key(1)) is None
 
     def test_clear_on_missing_directory(self, tmp_path, index_kind):
-        cache = ResultCache(tmp_path / "never-created", index=index_kind)
+        cache = ResultCache(tmp_path / "never-created")
         assert cache.clear() == 0
         assert len(cache) == 0
         assert cache.stats()["entries"] == 0
 
 
-class TestLegacyEngineMigration:
-    """A cache written in the old flat layout replays byte-identically."""
+class TestEngineReplay:
+    """An engine grid replays byte-identically after the index is lost."""
 
-    def test_flat_to_sharded_preserves_summaries(self, tmp_path, index_kind,
-                                                 slow_clip, slow_bitstream):
+    def test_lost_index_replays_summaries(self, tmp_path, index_kind,
+                                          slow_clip, slow_bitstream):
         from repro.core import standard_policies
         from repro.testbed import (DEVICES, ExperimentConfig,
                                    ExperimentEngine, GridCell)
@@ -418,27 +370,54 @@ class TestLegacyEngineMigration:
         cells = [GridCell("slow", config(p)) for p in ("none", "I", "all")]
         with ExperimentEngine(
                 workers=1, master_seed=7, repeats=2,
-                cache=ResultCache(tmp_path, index=index_kind)) as fresh:
+                cache=ResultCache(tmp_path)) as fresh:
             fresh.add_scenario("slow", slow_clip, slow_bitstream)
             baseline = fresh.run_grid(cells)
             assert fresh.simulations_run == 2 * len(cells)
-        # flatten back to the legacy layout: entries at the top level,
-        # no shard directories, no index files
-        for shard in list(tmp_path.iterdir()):
-            if shard.is_dir() and shard.name != QUARANTINE_DIR:
-                for path in shard.glob("*.json"):
-                    path.rename(tmp_path / path.name)
-                shutil.rmtree(shard)
-        for path in list(tmp_path.glob("index.*")):
+        for path in list(tmp_path.glob(f"index.{index_kind}*")):
             path.unlink()
 
-        replay_cache = ResultCache(tmp_path, index=index_kind)
+        replay_cache = ResultCache(tmp_path)
         with ExperimentEngine(workers=1, master_seed=7, repeats=2,
                               cache=replay_cache) as replay:
             replay.add_scenario("slow", slow_clip, slow_bitstream)
             replayed = replay.run_grid(cells)
             assert replay.simulations_run == 0
         assert replay_cache.hits == len(cells)
-        assert replay_cache.migrated == len(cells)
+        assert len(replay_cache) == len(cells)  # rebuilt from the shards
         assert replayed == baseline
         assert all(summary.from_cache for summary in replayed)
+
+
+class TestCodeFingerprint:
+    """Editing any module a cached cell's result depends on must change
+    the fingerprint, or the cache silently replays stale cells."""
+
+    @pytest.mark.parametrize("module", [
+        "trace", "field", "selection", "scenario", "process", "sampling",
+        "vector",
+    ])
+    def test_mobility_edit_invalidates(self, monkeypatch, module):
+        import importlib
+        from pathlib import Path
+
+        from repro.testbed.cache import code_fingerprint
+
+        edited = Path(importlib.import_module(
+            f"repro.mobility.{module}").__file__).resolve()
+        read_bytes = Path.read_bytes
+
+        def read_with_edit(path):
+            data = read_bytes(path)
+            return (data + b"\n# edited\n" if path.resolve() == edited
+                    else data)
+
+        code_fingerprint.cache_clear()
+        before = code_fingerprint()
+        monkeypatch.setattr(Path, "read_bytes", read_with_edit)
+        code_fingerprint.cache_clear()
+        try:
+            assert code_fingerprint() != before
+        finally:
+            monkeypatch.undo()
+            code_fingerprint.cache_clear()

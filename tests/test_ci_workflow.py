@@ -145,6 +145,14 @@ class TestCommands:
         assert any("bench_advisor_sweep.py --smoke" in line
                    for line in runs)
 
+    def test_tier1_runs_crypto_microbench_smoke(self, workflow):
+        """The micro-bench only runs in full on main pushes, so the PR
+        job drives it on a tiny payload and cache, writing outside the
+        tree, to keep the script from rotting in between."""
+        assert ("python benchmarks/crypto_microbench.py --bytes 16384"
+                " --cache-entries 200 --out /tmp/bench_crypto_smoke.json"
+                in _run_lines(workflow, "tier-1"))
+
     def test_tier1_runs_perfbench_on_one_python(self, workflow):
         """A renamed or bypassed layer that the repo benchmark wraps must
         fail the PR, not the next benchmark run; once per matrix is
@@ -154,6 +162,8 @@ class TestCommands:
         assert step["if"] == "matrix.python-version == '3.11'"
 
     def test_bench_gate_checks_trend(self, workflow):
+        names = [step.get("name") for step in _steps(workflow, "bench-gate")]
+        assert "Scalar-cipher/cache micro-bench" in names
         runs = _run_lines(workflow, "bench-gate")
         assert any("crypto_microbench.py" in line for line in runs)
         # The flows-scale run gates the *merged* report (crypto + cache

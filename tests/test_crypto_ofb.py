@@ -153,87 +153,10 @@ def test_zero_length_roundtrip_all_ciphers(cipher_name):
 
 
 @settings(max_examples=25, deadline=None)
-@given(message=st.binary(max_size=512), segment=st.integers(0, 100))
-def test_property_vectorized_and_scalar_keystreams_identical(message,
-                                                             segment):
-    from repro.crypto import VectorAES
+@given(payload=st.binary(max_size=512))
+def test_property_xor_matches_bytewise(payload):
+    from repro.crypto.ofb import _xor_bytes
 
-    iv = derive_iv(b"vec", segment, 16)
-    scalar = OFBMode(AES(KEY))
-    vectorized = OFBMode(VectorAES(KEY))
-    assert vectorized.keystream(iv, len(message)) == \
-        scalar.keystream(iv, len(message))
-    assert vectorized.keystream_batch([iv], [len(message)])[0] == \
-        scalar.keystream(iv, len(message))
-    assert vectorized.encrypt(iv, message) == scalar.encrypt(iv, message)
-
-
-class TestBatchDegenerateInputs:
-    """keystream_batch edge cases: empty work, repeated IVs, and a cipher
-    whose encrypt_blocks returns garbage."""
-
-    def test_all_zero_lengths(self):
-        from repro.crypto import VectorTripleDES
-
-        mode = OFBMode(VectorTripleDES(bytes(range(24))))
-        ivs = [derive_iv(b"zeros", i, 8) for i in range(4)]
-        assert mode.keystream_batch(ivs, [0, 0, 0, 0]) == [b""] * 4
-
-    def test_duplicate_ivs_give_identical_streams(self):
-        """Duplicate IVs are legal at this layer (uniqueness is
-        derive_iv's contract): identical chains must yield byte-identical
-        keystreams, same as running them scalar."""
-        from repro.crypto import VectorAES
-
-        mode = OFBMode(VectorAES(KEY))
-        iv = derive_iv(b"dup", 0, 16)
-        a, b = mode.keystream_batch([iv, iv], [48, 48])
-        assert a == b == mode.keystream(iv, 48)
-
-    def test_duplicate_ivs_ragged_lengths(self):
-        from repro.crypto import VectorAES
-
-        mode = OFBMode(VectorAES(KEY))
-        iv = derive_iv(b"dup", 1, 16)
-        short, long = mode.keystream_batch([iv, iv], [10, 70])
-        assert long[:10] == short
-
-    @pytest.mark.parametrize("bad_shape", [(3, 16), (1, 16), (6, 8)])
-    def test_wrong_shape_encrypt_blocks_raises(self, bad_shape):
-        """A cipher whose encrypt_blocks returns the wrong shape must be
-        a clear ValueError naming the class, not a silent mis-slice."""
-        import numpy as np
-
-        class BrokenCipher:
-            block_size = 16
-
-            def encrypt_block(self, block):
-                return bytes(16)
-
-            def encrypt_blocks(self, blocks):
-                return np.zeros(bad_shape, dtype=np.uint8)
-
-        mode = OFBMode(BrokenCipher())
-        ivs = [derive_iv(b"bad", i, 16) for i in range(2)]
-        with pytest.raises(ValueError, match="BrokenCipher.*shape"):
-            mode.keystream_batch(ivs, [16, 16])
-
-
-class TestXorFallback:
-    """The stdlib XOR path must agree with the numpy path so receivers
-    without numpy decrypt the same bytes."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(payload=st.binary(max_size=512))
-    def test_stdlib_xor_matches_numpy_xor(self, payload):
-        from repro.crypto.ofb import _xor_bytes, _xor_bytes_stdlib
-
-        keystream = bytes((i * 37 + 11) & 0xFF for i in range(len(payload)))
-        expected = bytes(p ^ s for p, s in zip(payload, keystream))
-        assert _xor_bytes_stdlib(payload, keystream) == expected
-        assert _xor_bytes(payload, keystream) == expected
-
-    def test_stdlib_xor_zero_length(self):
-        from repro.crypto.ofb import _xor_bytes_stdlib
-
-        assert _xor_bytes_stdlib(b"", b"") == b""
+    keystream = bytes((i * 37 + 11) & 0xFF for i in range(len(payload)))
+    expected = bytes(p ^ s for p, s in zip(payload, keystream))
+    assert _xor_bytes(payload, keystream) == expected

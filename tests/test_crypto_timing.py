@@ -6,7 +6,6 @@ from repro.crypto.timing import (
     CIPHERS,
     CipherCost,
     make_cipher,
-    make_fast_cipher,
     measure_cipher_cost,
     reference_cipher_cost,
 )
@@ -75,39 +74,10 @@ class TestMakeCipher:
             make_cipher("DES5", bytes(8))
 
 
-class TestFastCipher:
-    """make_fast_cipher is the simulator's bulk path; it must be
-    byte-identical to the scalar cipher and must not leak into the
-    modelled ``T_e``."""
-
-    @pytest.mark.parametrize("name", sorted(CIPHERS))
-    def test_fast_cipher_byte_identical(self, name):
-        key_size, _ = CIPHERS[name]
-        key = bytes(range(key_size))
-        fast = make_fast_cipher(name, key)
-        scalar = make_cipher(name, key)
-        block = bytes(range(scalar.block_size))
-        assert fast.encrypt_block(block) == scalar.encrypt_block(block)
-
-    @pytest.mark.parametrize("name", sorted(CIPHERS))
-    def test_fast_cipher_is_vectorized(self, name):
-        key_size, _ = CIPHERS[name]
-        fast = make_fast_cipher(name, bytes(key_size))
-        assert hasattr(fast, "encrypt_blocks")
-
-    def test_wrong_key_size(self):
-        with pytest.raises(ValueError):
-            make_fast_cipher("3DES", bytes(10))
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_fast_cipher("DES5", bytes(8))
-
-
 class TestModelledTimesPinned:
     """T_e invariance: the modelled encryption-time inputs of the delay
-    model (Section 4.2.2) must not move when the bulk crypto path gets
-    faster.  These literals are the committed model; a deliberate
+    model (Section 4.2.2) must not move when a cipher implementation
+    gets faster.  These literals are the committed model; a deliberate
     recalibration must update this test."""
 
     def test_make_cipher_stays_scalar(self):

@@ -16,6 +16,7 @@ GLOBAL_RANDOM = "x = " + "random" + ".randint(0, 9)"
 WALL_CLOCK = "now = time." + "time()"
 RAW_SOCKET = "sock = " + "socket" + ".create_connection(addr)"
 BLOCKING_SLEEP = "time." + "sleep(0.2)"
+BARE_PRINT = "print" + "(report)"
 
 
 def _write(tmp_path, name, *lines):
@@ -169,6 +170,34 @@ class TestRules:
         # event kernel, covered above)
         elsewhere = _write(tmp_path, "trace.py", "import time", WALL_CLOCK)
         assert lint_file(elsewhere) == []
+
+    def test_bare_print_banned_in_package_source(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "testbed").mkdir(parents=True)
+        for where in (package, package / "testbed"):
+            library = _write(where, "mod.py", BARE_PRINT)
+            assert [e.rule for e in lint_file(library)] == \
+                ["print-in-library"]
+            assert "cli.py" in lint_file(library)[0].message
+
+    def test_bare_print_allowed_outside_library_code(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        for name in ("cli.py", "selftest.py"):
+            assert lint_file(_write(package, name, BARE_PRINT)) == [], name
+        for where in ("benchmarks", "tests", "src"):
+            (tmp_path / where).mkdir(exist_ok=True)
+            script = _write(tmp_path / where, "mod.py", BARE_PRINT)
+            assert lint_file(script) == [], where
+
+    def test_print_lookalikes_allowed_in_package_source(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        path = _write(package, "mod.py",
+                      "console.print(x)",
+                      "digest = code_fingerprint()",
+                      "text = 'fingerprint()'")
+        assert lint_file(path) == []
 
     def test_allow_marker_and_comments_skipped(self, tmp_path):
         path = _write(tmp_path, "mod.py",
