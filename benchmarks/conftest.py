@@ -12,11 +12,9 @@ Knobs (environment variables):
 - ``REPRO_BENCH_FRAMES``   clip length in frames (default 240; the paper
   uses 300);
 - ``REPRO_CACHE``          set 0 to disable the on-disk result cache
-  (default: cache under ``benchmarks/results/cache``);
-- ``REPRO_CACHE_DIR``      override the cache directory;
-- ``REPRO_CACHE_BACKEND``  cache store: ``dir`` (sharded files, the
-  default), ``sqlite`` (single-file WAL store), or a full
-  ``backend:location`` spec;
+  (default: the sqlite store ``benchmarks/results/cache/cache.sqlite``);
+- ``REPRO_CACHE_DIR``      override the cache directory, or name a store
+  (``sqlite:FILE``, ``tcp:HOST:PORT``);
 - ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES``  size caps for
   the cache (LRU eviction; default: unbounded);
 - ``REPRO_ENGINE_WORKERS`` worker processes for the experiment engine
@@ -49,7 +47,6 @@ from repro.testbed import (
     ExperimentEngine,
     GridCell,
     ResultCache,
-    backend_from_env,
 )
 from repro.video import (
     CodecConfig,
@@ -69,8 +66,7 @@ _SEEDS = {"slow": 2013, "medium": 2015, "fast": 2014}
 
 _CACHE_ENABLED = os.environ.get("REPRO_CACHE", "1").lower() not in (
     "0", "false", "no")
-CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR",
-                                str(RESULTS_DIR / "cache")))
+CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", str(RESULTS_DIR / "cache"))
 
 
 def _env_int(name: str):
@@ -85,7 +81,7 @@ def _env_int(name: str):
 
 ENGINE = ExperimentEngine(
     cache=ResultCache(
-        backend=backend_from_env(CACHE_DIR),
+        CACHE_DIR,
         max_bytes=_env_int("REPRO_CACHE_MAX_BYTES"),
         max_entries=_env_int("REPRO_CACHE_MAX_ENTRIES"),
     ) if _CACHE_ENABLED else None,
@@ -185,6 +181,6 @@ def _engine_lifecycle():
         parts.append(
             f"entries: {cache_stats['entries']}"
             f" ({cache_stats['total_bytes']} B,"
-            f" {cache_stats['index_backend']} index)")
+            f" {cache_stats['backend']} store)")
     print(f"\n[experiment engine] {', '.join(parts)}")
     ENGINE.close()

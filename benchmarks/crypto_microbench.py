@@ -42,7 +42,7 @@ DEFAULT_PAYLOAD = 1 << 20          # the acceptance target: 1 MiB
 DEFAULT_SEGMENT = 1460             # MTU-sized RTP payload
 DEFAULT_SCALAR_SAMPLE = 192 * 1024
 DEFAULT_SCALAR_SAMPLE_3DES = 24 * 1024
-DEFAULT_CACHE_ENTRIES = 10_000     # the grid size the sharded cache targets
+DEFAULT_CACHE_ENTRIES = 10_000     # the grid size the cache targets
 DEFAULT_BASELINE = Path("benchmarks/results/bench_baseline.json")
 KEY = bytes(range(32))             # AES256, the paper's headline cipher
 KEY_3DES = bytes(range(24))        # 3-key 3DES, the paper's slow cipher
@@ -85,7 +85,7 @@ def _bench_cipher(label: str, cipher, block_size: int, sample_bytes: int,
 
 def _bench_cache(n_entries: int) -> dict:
     """Cache-layer micro-section: cold puts, warm gets, ``len``/``stats``
-    (index-backed, so they must not scale like a directory scan), and a
+    (store queries, so they must not scale like a directory scan), and a
     gc that evicts half the entries under ``max_entries``."""
     runs = [RunMetrics(mean_delay_ms=1.25, mean_waiting_ms=0.5,
                        average_power_w=2.0, receiver_psnr_db=38.0)]
@@ -109,7 +109,7 @@ def _bench_cache(n_entries: int) -> dict:
         assert entries == n_entries, "index disagrees with the puts"
 
         start = time.perf_counter()
-        stats = cache.stats()
+        cache.stats()
         stats_s = time.perf_counter() - start
         cache.close()
 
@@ -121,7 +121,6 @@ def _bench_cache(n_entries: int) -> dict:
 
     return {
         "entries": n_entries,
-        "index_backend": stats["index_backend"],
         "cold_put_per_s": n_entries / cold_put_s,
         "warm_get_per_s": n_entries / warm_get_s,
         "len_s": len_s,
@@ -187,8 +186,7 @@ def main() -> None:
               " KB/s")
     if "cache" in report:
         cache = report["cache"]
-        print(f"cache  : {cache['entries']} entries"
-              f" ({cache['index_backend']} index),"
+        print(f"cache  : {cache['entries']} entries,"
               f" put {cache['cold_put_per_s']:.0f}/s,"
               f" get {cache['warm_get_per_s']:.0f}/s,"
               f" len {cache['len_s'] * 1e3:.2f} ms,"

@@ -56,7 +56,6 @@ from .testbed import (
     run_multiflow,
     run_worker,
 )
-from .testbed.backends import backend_from_env
 from .video import (
     CodecConfig,
     analyze_motion,
@@ -195,7 +194,7 @@ def cmd_serve(args) -> int:
 
     try:
         server = AdvisorServer(
-            _open_cache(args.cache), host=args.host, port=args.port,
+            ResultCache(args.cache), host=args.host, port=args.port,
             ap_capacity=args.ap_capacity, engine=args.engine,
             workers=args.workers)
     except ValueError as exc:
@@ -329,23 +328,14 @@ def cmd_mobility(args) -> int:
     return 0
 
 
-def _open_cache(spec_or_dir: str, **kwargs) -> ResultCache:
-    """Open a cache from a directory, a ``backend:location`` spec, or —
-    for bare directories — the ``REPRO_CACHE_BACKEND`` environment
-    override (so CI can flip every tool to sqlite with one variable)."""
-    if isinstance(spec_or_dir, str) and ":" in spec_or_dir.split(os.sep)[0]:
-        return ResultCache(spec_or_dir, **kwargs)
-    return ResultCache(backend=backend_from_env(spec_or_dir), **kwargs)
-
-
 def cmd_cache(args) -> int:
-    cache = _open_cache(args.dir, max_bytes=args.max_bytes,
+    cache = ResultCache(args.dir, max_bytes=args.max_bytes,
                         max_entries=args.max_entries)
     try:
         if args.action == "stats":
             stats = cache.stats()
             rows = [[name, str(stats[name])] for name in (
-                "backend", "index_backend", "entries", "total_bytes",
+                "backend", "entries", "total_bytes",
                 "hits", "misses", "hit_rate", "evictions", "corrupt",
                 "max_bytes", "max_entries",
             )]
@@ -355,7 +345,7 @@ def cmd_cache(args) -> int:
         if args.action == "gc":
             report = cache.gc()
             rows = [[name, str(report[name])] for name in
-                    ("evicted", "tmp_removed", "entries", "total_bytes")]
+                    ("evicted", "entries", "total_bytes")]
             print(render_table(["gc action", "value"], rows,
                                title=f"result cache at {args.dir}"))
             return 0
@@ -365,8 +355,7 @@ def cmd_cache(args) -> int:
             return 0
         report = cache.verify()
         rows = [[name, str(report[name])] for name in
-                ("entries", "total_bytes", "corrupt", "adopted",
-                 "stale_index", "tmp_removed")]
+                ("entries", "total_bytes", "corrupt")]
         print(render_table(["verify result", "value"], rows,
                            title=f"result cache at {args.dir}"))
         return 1 if report["corrupt"] else 0
@@ -691,22 +680,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="inspect or maintain the sharded result cache",
-        description="stats: counters and index aggregates; gc: sweep stale"
-                    " temp files and enforce the size caps; clear: delete"
-                    " every entry; verify: rebuild the index from the shard"
-                    " files, quarantining corrupt entries (exit 1 if any"
-                    " were found).",
+        help="inspect or maintain the result cache",
+        description="stats: counters and store aggregates; gc: enforce"
+                    " the size caps; clear: delete every entry; verify:"
+                    " quarantine corrupt entries (exit 1 if any were"
+                    " found).  gc, verify and clear each run in one store"
+                    " transaction, serialised against other maintainers.",
     )
     p_cache.add_argument("action", choices=("stats", "gc", "clear", "verify"))
     p_cache.add_argument(
         "--dir",
         default=os.environ.get("REPRO_CACHE_DIR",
                                "benchmarks/results/cache"),
-        help="cache directory or backend spec like sqlite:PATH /"
-             " dir:PATH (default: $REPRO_CACHE_DIR or"
-             " benchmarks/results/cache; bare directories honour"
-             " $REPRO_CACHE_BACKEND)",
+        help="cache directory (store: DIR/cache.sqlite), sqlite:FILE or"
+             " tcp:HOST:PORT (default: $REPRO_CACHE_DIR or"
+             " benchmarks/results/cache)",
     )
     p_cache.add_argument("--max-bytes", type=int, default=None,
                          help="byte cap enforced by gc (LRU eviction)")

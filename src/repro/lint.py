@@ -40,6 +40,10 @@ so this module enforces the rules that protect it:
   outside the two console front ends, ``cli.py`` and ``selftest.py``:
   library code returns values or raises, and the front ends decide
   what reaches stdout.
+- ``import sqlite3`` and ``sqlite3.`` references are banned in the
+  package source outside ``testbed/backends.py``: the cache's storage
+  format belongs to that one module, and everything else goes through
+  its :class:`~repro.testbed.backends.CacheBackend` protocol.
 
 A line may opt out with a trailing ``# lint: allow`` comment (used by
 code that mentions the patterns in strings, e.g. this linter's tests).
@@ -98,6 +102,11 @@ _MOBILITY_CLOCK_SEED = re.compile(
 _BARE_PRINT = re.compile(r"(?<![\w.])print\s*\(")
 # The package source files that may write to stdout.
 _CONSOLE_FRONT_ENDS = {"cli.py", "selftest.py"}
+# Any use of the sqlite3 module: an import of it or an attribute on it.
+_SQLITE = re.compile(
+    r"^\s*(?:import|from)\s+sqlite3\b|(?<![\w.])sqlite3\.")
+# The one package module that owns the cache's storage format.
+_STORAGE_MODULE = ("testbed", "backends.py")
 
 
 @dataclass(frozen=True)
@@ -147,8 +156,9 @@ def lint_file(path: Path) -> List[LintError]:
     is_server = path.name == "server.py"
     in_mobility = "mobility" in path.parts
     is_mobile_vector = in_mobility and path.name == "vector.py"
-    bans_print = (_in_package_source(path)
-                  and path.name not in _CONSOLE_FRONT_ENDS)
+    in_package = _in_package_source(path)
+    bans_print = in_package and path.name not in _CONSOLE_FRONT_ENDS
+    bans_sqlite = in_package and path.parts[-2:] != _STORAGE_MODULE
     for number, raw in enumerate(text.splitlines(), start=1):
         if ALLOW_MARKER in raw:
             continue
@@ -209,6 +219,12 @@ def lint_file(path: Path) -> List[LintError]:
                 "bare print() in package source: return the value or"
                 " raise, and let cli.py/selftest.py write to stdout",
                 raw.strip()))
+        if bans_sqlite and _SQLITE.search(line):
+            errors.append(LintError(
+                str(path), number, "sqlite-outside-storage",
+                "sqlite3 in package source outside testbed/backends.py:"
+                " go through the CacheBackend protocol so one module owns"
+                " the storage format", raw.strip()))
     return errors
 
 

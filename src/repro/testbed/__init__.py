@@ -3,20 +3,8 @@ Fig. 3 sender pipeline as a discrete-event simulation, RTP/UDP and
 HTTP/TCP transports, per-packet tracing, the power model, and the
 end-to-end experiment runner."""
 
-from .backends import (
-    CacheBackend,
-    SqliteBackend,
-    backend_from_env,
-    parse_backend_spec,
-)
-from .cache import (
-    DirectoryBackend,
-    ResultCache,
-    RunMetrics,
-    SqliteIndexBackend,
-    code_fingerprint,
-    stable_key,
-)
+from .backends import CacheBackend, SqliteBackend, parse_backend_spec
+from .cache import ResultCache, RunMetrics, code_fingerprint, stable_key
 from .advisor_service import (
     AdvisorAnswer,
     AdvisorClient,
@@ -28,7 +16,6 @@ from .advisor_service import (
     evaluate_request,
     policy_from_name,
 )
-from .locks import FileLock, LockTimeout
 from .devices import DEVICES, GALAXY_S2, HTC_AMAZE_4G, DeviceProfile
 from .energy import EnergyBreakdown, average_power_w, microamp_hours_to_watts
 from .events import (
@@ -89,7 +76,6 @@ __all__ = [
     "CellSummary", "ExperimentEngine", "GridCell",
     "describe_config", "scenario_fingerprint",
     "ResultCache", "RunMetrics", "code_fingerprint", "stable_key",
-    "DirectoryBackend", "SqliteIndexBackend",
     "LinkConfig", "PacketService", "SenderSimulator", "SimulationRun",
     "EventKernel", "Request", "Resource", "Timeout", "WaitUntil",
     "ContentionMAC", "FlowProcess", "MULTIFLOW_ENGINES", "MultiFlowRun",
@@ -97,8 +83,7 @@ __all__ = [
     "PacketTrace", "TraceLog",
     "HTTP_TCP", "UDP_RTP", "TransportConfig", "delivery_outcome",
     "delivery_outcome_with",
-    "CacheBackend", "SqliteBackend", "backend_from_env",
-    "parse_backend_spec", "FileLock", "LockTimeout",
+    "CacheBackend", "SqliteBackend", "parse_backend_spec",
     "config_from_description",
     "QueueTask", "WorkQueue", "WorkerReport", "run_worker",
     "open_queue", "pack_scenario", "unpack_scenario",

@@ -1,59 +1,51 @@
-"""Pluggable storage backends for the content-addressed result cache.
+"""Storage for the content-addressed result cache: one sqlite file.
 
 :class:`~repro.testbed.cache.ResultCache` separates *policy* (schema
-validation, LRU caps, quarantine accounting, hit/miss counters) from
-*storage*.  Storage is a :class:`CacheBackend`: anything that can read,
-write, delete, enumerate and quarantine opaque ``key -> bytes`` entries.
-Two implementations ship:
+validation, size caps, hit/miss counters) from *storage*.  Storage is a
+:class:`CacheBackend`, and two implementations ship:
 
-- :class:`DirectoryBackend` — the original sharded file tree
-  (``<dir>/ab/abcd….json``); entries are separate files, writes are
-  atomic per shard, and a separate sqlite index keeps the aggregates.  Best for one host, or debugging (entries are plain
-  JSON files you can ``cat``).
-- :class:`SqliteBackend` — a single-file WAL-mode sqlite store holding
-  payload *and* index columns in one table.  WAL mode plus a busy
-  timeout make it safe for many concurrent writer processes sharing a
-  filesystem mount, which is what the distributed grid mode needs; it
-  is ``index_capable``, so :class:`ResultCache` uses it as its own
-  index instead of opening a second file.
+- :class:`SqliteBackend` — the local store: one WAL-mode sqlite file
+  whose ``entries`` table holds each payload *and* its size/created/
+  accessed columns, so the store is its own index.  Concurrent writer
+  processes on one host share it safely: WAL lets readers proceed
+  during writes and a busy timeout queues the writers.
+- :class:`~repro.testbed.netproto.TcpCacheBackend` — the same protocol
+  proxied to a ``repro cached serve`` endpoint, whose server runs every
+  call against its own local :class:`SqliteBackend`.
 
-Backends are selected by URL-style spec (``parse_backend_spec``):
-``sqlite:PATH`` or ``sqlite:///PATH`` for the single-file store,
-``dir:PATH`` (or a bare path) for the sharded tree.  The
-``REPRO_CACHE_BACKEND`` environment variable feeds the same parser (the
-bare word ``sqlite`` means "a ``cache.sqlite`` inside the cache
-directory"), so benches and workers pick a shared backend without code
-changes.
+Backends are selected by spec (:func:`parse_backend_spec`): a bare
+directory path means ``<dir>/cache.sqlite``, ``sqlite:FILE`` names the
+file, ``tcp:HOST:PORT`` names a server.
+
+Maintenance (``gc``, ``verify``, ``clear``) runs as one store call in
+one ``BEGIN IMMEDIATE`` transaction.  SQLite's write lock serialises
+concurrent maintainers; a maintainer that dies mid-walk rolls back and
+the operating system drops its lock with the process, so no lock file
+can go stale.
+
+A cache file must live on a local filesystem: SQLite's WAL mode needs
+memory shared between the processes of one host.  Hosts share a cache
+through ``repro cached serve`` and ``tcp:``; network filesystems such
+as NFS are untested.
+
+This module is the only one that touches ``sqlite3`` (``repro lint``
+enforces it), so the storage format is known here alone.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import tempfile
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Union
 
-__all__ = [
-    "TMP_PREFIX", "QUARANTINE_DIR", "IndexEntry",
-    "CacheBackend", "DirectoryBackend", "SqliteBackend",
-    "parse_backend_spec", "backend_from_env",
-]
+__all__ = ["CACHE_FILE", "CacheBackend", "SqliteBackend",
+           "parse_backend_spec"]
 
-TMP_PREFIX = ".tmp-"
-QUARANTINE_DIR = "quarantine"
-
-
-@dataclass
-class IndexEntry:
-    """One indexed cache entry: identity, size, and LRU bookkeeping."""
-
-    key: str
-    size: int
-    created: float
-    accessed: float
+#: The store a bare cache directory holds.
+CACHE_FILE = "cache.sqlite"
 
 
 class CacheBackend:
@@ -62,200 +54,69 @@ class CacheBackend:
     A backend stores opaque ``key -> bytes`` entries and exposes:
 
     - ``name`` — short identifier for stats output;
-    - ``root`` — a directory ``Path`` the cache may use for lock files;
-    - ``lock_path`` — where the maintenance lock for this store lives;
-    - ``index_capable`` — ``True`` when the backend also implements the
-      index protocol (``upsert``/``touch``/``remove``/``count``/
-      ``total_bytes``/``entries``/``lru``/``replace_all``) so
-      :class:`~repro.testbed.cache.ResultCache` need not open a
-      separate index file;
     - ``read(key) -> bytes | None``; ``write(key, data) -> size``
-      (atomic: concurrent readers only ever observe complete entries);
-      ``delete(key) -> bool``;
-    - ``quarantine(key) -> bool`` (move a corrupt entry aside for
-      post-mortem) and ``clear_quarantine() -> int``;
-    - ``scan() -> Iterator[(key, size, mtime)]`` — the maintenance
-      walk; hot paths never call it;
-    - ``sweep_temp(max_age_s) -> int`` — file-tree housekeeping;
-      stores without temp files return ``0``;
+      (atomic: readers only ever observe complete entries);
+      ``delete(key) -> bool``; ``touch(key, accessed)`` (LRU clock);
+    - ``quarantine(key) -> bool`` — move a corrupt entry aside for
+      post-mortem;
+    - ``count()``, ``total_bytes()`` — index aggregates, never a walk;
+    - ``gc(max_bytes, max_entries, protect) -> report`` — evict
+      least-recently-accessed entries until both caps hold (never
+      ``protect``);
+    - ``verify(valid) -> report`` — quarantine every entry whose bytes
+      ``valid`` rejects;
+    - ``clear() -> removed`` — delete every entry and the quarantine;
     - ``close()``.
+
+    ``gc``, ``verify`` and ``clear`` are each atomic with respect to
+    every other maintainer of the same store.
     """
 
     name = "abstract"
-    index_capable = False
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
 
 
-# -- the sharded file tree -----------------------------------------------------
-
-
-class DirectoryBackend(CacheBackend):
-    """Sharded entry files: key ``abcd…`` lives at ``ab/abcd….json``.
-
-    Owns everything that touches the filesystem — atomic writes, deletes,
-    quarantine moves, the maintenance walk, and the stale-temp sweep —
-    so :class:`~repro.testbed.cache.ResultCache` itself never composes
-    paths.
-    """
-
-    name = "dir"
-    index_capable = False
-
-    def __init__(self, directory) -> None:
-        self.directory = Path(directory)
-
-    @property
-    def root(self) -> Path:
-        return self.directory
-
-    @property
-    def lock_path(self) -> Path:
-        return self.directory / ".maintenance.lock"
-
-    def path_for(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
-
-    def read(self, key: str) -> Optional[bytes]:
-        try:
-            return self.path_for(key).read_bytes()
-        except OSError:
-            return None
-
-    def write(self, key: str, data: bytes) -> int:
-        """Atomically persist one entry; returns its size in bytes."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=TMP_PREFIX, suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return len(data)
-
-    def delete(self, key: str) -> bool:
-        try:
-            os.unlink(self.path_for(key))
-            return True
-        except OSError:
-            return False
-
-    def quarantine(self, key: str) -> bool:
-        """Move a corrupt entry to ``quarantine/`` for post-mortem."""
-        source = self.path_for(key)
-        target_dir = self.directory / QUARANTINE_DIR
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(source, target_dir / source.name)
-            return True
-        except OSError:
-            return False
-
-    def clear_quarantine(self) -> int:
-        removed = 0
-        quarantine = self.directory / QUARANTINE_DIR
-        if quarantine.is_dir():
-            for path in quarantine.iterdir():
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
-        return removed
-
-    def _shard_dirs(self) -> Iterator[Path]:
-        if not self.directory.is_dir():
-            return
-        for child in sorted(self.directory.iterdir()):
-            if (child.is_dir() and child.name != QUARANTINE_DIR
-                    and not child.name.startswith(".")):
-                yield child
-
-    def scan(self) -> Iterator[Tuple[str, int, float]]:
-        """Yield ``(key, size, mtime)`` for every entry on disk.
-
-        This is the maintenance walk (index rebuild/verify/clear); the hot
-        paths — ``get``/``__len__``/``stats`` — go through the index and
-        never call it.
-        """
-        for shard in self._shard_dirs():
-            for path in sorted(shard.glob("*.json")):
-                if path.name.startswith("."):
-                    continue  # in-flight or orphaned temp file
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                yield path.stem, stat.st_size, stat.st_mtime
-
-    def sweep_temp(self, max_age_s: float = 0.0) -> int:
-        """Remove ``.tmp-*`` files older than ``max_age_s`` seconds —
-        the droppings of writers that crashed between create and rename."""
-        removed = 0
-        now = time.time()
-        for parent in (self.directory, *self._shard_dirs()):
-            if not parent.is_dir():
-                continue
-            for path in parent.glob(f"{TMP_PREFIX}*"):
-                try:
-                    if now - path.stat().st_mtime >= max_age_s:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
-
-
-# -- the single-file sqlite store ----------------------------------------------
-
-
 class SqliteBackend(CacheBackend):
-    """Payload + index in one WAL-mode sqlite file.
+    """Payload and index columns in one WAL-mode sqlite file.
 
-    Designed for N concurrent writer processes sharing a filesystem
-    mount (the distributed grid mode): WAL journaling lets readers
-    proceed during writes, a generous ``busy_timeout`` serialises the
-    writers, and every operation commits immediately so other processes
-    observe complete entries only.  ``synchronous=NORMAL`` — unlike the
-    derived sqlite *index* of the directory backend, this file holds
-    primary data, so durability is not traded away.
+    Single statements commit on their own (autocommit); multi-statement
+    operations run inside ``BEGIN IMMEDIATE`` so they are atomic and
+    serialised against other processes.  ``synchronous=NORMAL``: in WAL
+    mode a commit survives a process crash, and only a power loss can
+    drop the last few.  Quarantined payloads move to a ``quarantine``
+    table.
 
-    The backend is ``index_capable``: the ``entries`` table carries the
-    size/created/accessed columns the cache's LRU policy needs, so no
-    second index file is opened.  Quarantined payloads move to a
-    ``quarantine`` table instead of a directory.
+    The file is created by the first write.  Until then, read-only calls
+    answer as an empty store without creating anything, so inspecting a
+    cache that was never written leaves the disk alone.
     """
 
     name = "sqlite"
-    index_capable = True
 
     def __init__(self, path, *, busy_timeout_s: float = 30.0) -> None:
         self.path = Path(path)
         self.busy_timeout_s = busy_timeout_s
-        self._connection = None
-        self._conn  # connect eagerly so bad paths fail at construction
+        self._connection: Optional[sqlite3.Connection] = None
 
-    @property
-    def _conn(self):
-        """The sqlite connection, reopened on demand after ``close()``
-        (the cache's close/reuse contract predates this backend)."""
+    def _conn(self, create: bool = True) -> Optional[sqlite3.Connection]:
+        """The connection, opened on first use (and again after
+        ``close()``); ``None`` if the file is missing and ``create`` is
+        false."""
         if self._connection is None:
+            if not create and not self.path.exists():
+                return None
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(str(self.path),
-                                   timeout=self.busy_timeout_s)
+            # check_same_thread=False: a ServerThread builds its store on
+            # the constructing thread and then serves it from its event
+            # loop thread.  One thread at a time still uses the
+            # connection: the constructor's, then the loop's.
+            conn = sqlite3.connect(
+                str(self.path), timeout=self.busy_timeout_s,
+                isolation_level=None, check_same_thread=False)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS entries ("
                 " key TEXT PRIMARY KEY,"
@@ -270,129 +131,141 @@ class SqliteBackend(CacheBackend):
                 " data BLOB,"
                 " quarantined REAL NOT NULL)"
             )
-            conn.commit()
             self._connection = conn
         return self._connection
 
-    @property
-    def root(self) -> Path:
-        return self.path.parent
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """``BEGIN IMMEDIATE`` … ``COMMIT``, rolled back on any error.
+        Taking the write lock up front makes concurrent maintainers
+        queue (up to the busy timeout) instead of deadlocking."""
+        conn = self._conn()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield conn
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
 
-    @property
-    def lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
+    @staticmethod
+    def _totals(conn: sqlite3.Connection):
+        return conn.execute(
+            "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
+        ).fetchone()
 
-    # -- store protocol ----------------------------------------------------
+    @staticmethod
+    def _move_to_quarantine(conn: sqlite3.Connection, key: str) -> bool:
+        moved = conn.execute(
+            "INSERT OR REPLACE INTO quarantine (key, data, quarantined)"
+            " SELECT key, data, ? FROM entries WHERE key = ?",
+            (time.time(), key),
+        ).rowcount > 0
+        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        return moved
+
+    # -- entries -----------------------------------------------------------
 
     def read(self, key: str) -> Optional[bytes]:
-        row = self._conn.execute(
+        conn = self._conn(create=False)
+        if conn is None:
+            return None
+        row = conn.execute(
             "SELECT data FROM entries WHERE key = ?", (key,)).fetchone()
         return None if row is None else bytes(row[0])
 
     def write(self, key: str, data: bytes) -> int:
         now = time.time()
-        self._conn.execute(
+        self._conn().execute(
             "INSERT INTO entries (key, data, size, created, accessed)"
             " VALUES (?, ?, ?, ?, ?)"
             " ON CONFLICT(key) DO UPDATE SET data = excluded.data,"
             "  size = excluded.size, accessed = excluded.accessed",
             (key, data, len(data), now, now),
         )
-        self._conn.commit()
         return len(data)
 
     def delete(self, key: str) -> bool:
-        cursor = self._conn.execute(
-            "DELETE FROM entries WHERE key = ?", (key,))
-        self._conn.commit()
-        return cursor.rowcount > 0
+        conn = self._conn(create=False)
+        if conn is None:
+            return False
+        return conn.execute(
+            "DELETE FROM entries WHERE key = ?", (key,)).rowcount > 0
+
+    def touch(self, key: str, accessed: float) -> None:
+        conn = self._conn(create=False)
+        if conn is not None:
+            conn.execute("UPDATE entries SET accessed = ? WHERE key = ?",
+                         (accessed, key))
 
     def quarantine(self, key: str) -> bool:
-        cursor = self._conn.execute(
-            "INSERT OR REPLACE INTO quarantine (key, data, quarantined)"
-            " SELECT key, data, ? FROM entries WHERE key = ?",
-            (time.time(), key),
-        )
-        moved = cursor.rowcount > 0
-        self._conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-        self._conn.commit()
-        return moved
-
-    def clear_quarantine(self) -> int:
-        cursor = self._conn.execute("DELETE FROM quarantine")
-        self._conn.commit()
-        return cursor.rowcount
-
-    def scan(self) -> Iterator[Tuple[str, int, float]]:
-        rows = self._conn.execute(
-            "SELECT key, size, created FROM entries ORDER BY key"
-        ).fetchall()
-        for key, size, created in rows:
-            yield key, size, created
-
-    def sweep_temp(self, max_age_s: float = 0.0) -> int:
-        return 0  # no temp files: sqlite's WAL handles torn writes
-
-    # -- index protocol (the store is its own index) -----------------------
-
-    def upsert(self, entry: IndexEntry) -> None:
-        self._conn.execute(
-            "UPDATE entries SET size = ?, created = ?, accessed = ?"
-            " WHERE key = ?",
-            (entry.size, entry.created, entry.accessed, entry.key),
-        )
-        self._conn.commit()
-
-    def touch(self, key: str, size: int, accessed: float) -> None:
-        self._conn.execute(
-            "UPDATE entries SET size = ?, accessed = ? WHERE key = ?",
-            (size, accessed, key),
-        )
-        self._conn.commit()
-
-    def remove(self, key: str) -> None:
-        self.delete(key)
+        if self._conn(create=False) is None:
+            return False
+        with self._transaction() as conn:
+            return self._move_to_quarantine(conn, key)
 
     def count(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        conn = self._conn(create=False)
+        if conn is None:
+            return 0
+        return conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def total_bytes(self) -> int:
-        row = self._conn.execute(
-            "SELECT COALESCE(SUM(size), 0) FROM entries").fetchone()
-        return row[0]
+        conn = self._conn(create=False)
+        return 0 if conn is None else self._totals(conn)[1]
 
-    def entries(self) -> List[IndexEntry]:
-        rows = self._conn.execute(
-            "SELECT key, size, created, accessed FROM entries ORDER BY key"
-        ).fetchall()
-        return [IndexEntry(*row) for row in rows]
+    # -- maintenance: one transaction each ---------------------------------
 
-    def lru(self) -> List[IndexEntry]:
-        rows = self._conn.execute(
-            "SELECT key, size, created, accessed FROM entries"
-            " ORDER BY accessed, created, key"
-        ).fetchall()
-        return [IndexEntry(*row) for row in rows]
+    def gc(self, max_bytes: Optional[int] = None,
+           max_entries: Optional[int] = None,
+           protect: Optional[str] = None) -> Dict[str, int]:
+        report = {"evicted": 0, "entries": 0, "total_bytes": 0}
+        if self._conn(create=False) is None:
+            return report
+        with self._transaction() as conn:
+            count, total = self._totals(conn)
 
-    def replace_all(self, entries: List[IndexEntry]) -> None:
-        """Reconcile index metadata with a fresh scan.
+            def over() -> bool:
+                return ((max_entries is not None and count > max_entries)
+                        or (max_bytes is not None and total > max_bytes))
 
-        Payload rows are the scan's source, so only their metadata needs
-        updating; rows for keys absent from ``entries`` were already
-        deleted/quarantined by the caller, but stray ones are dropped to
-        honour the index contract.
-        """
-        keep = {entry.key for entry in entries}
-        for row in self._conn.execute("SELECT key FROM entries").fetchall():
-            if row[0] not in keep:
-                self._conn.execute(
-                    "DELETE FROM entries WHERE key = ?", (row[0],))
-        self._conn.executemany(
-            "UPDATE entries SET size = ?, created = ?, accessed = ?"
-            " WHERE key = ?",
-            [(e.size, e.created, e.accessed, e.key) for e in entries],
-        )
-        self._conn.commit()
+            if over():
+                oldest_first = conn.execute(
+                    "SELECT key, size FROM entries"
+                    " ORDER BY accessed, created, key").fetchall()
+                for key, size in oldest_first:
+                    if not over():
+                        break
+                    if key == protect:
+                        continue
+                    conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+                    count -= 1
+                    total -= size
+                    report["evicted"] += 1
+        report["entries"], report["total_bytes"] = count, total
+        return report
+
+    def verify(self, valid: Callable[[bytes], bool]) -> Dict[str, int]:
+        report = {"entries": 0, "total_bytes": 0, "corrupt": 0}
+        if self._conn(create=False) is None:
+            return report
+        with self._transaction() as conn:
+            bad = [key for key, data in conn.execute(
+                       "SELECT key, data FROM entries")
+                   if not valid(bytes(data))]
+            for key in bad:
+                self._move_to_quarantine(conn, key)
+            report["entries"], report["total_bytes"] = self._totals(conn)
+        report["corrupt"] = len(bad)
+        return report
+
+    def clear(self) -> int:
+        if self._conn(create=False) is None:
+            return 0
+        with self._transaction() as conn:
+            removed = conn.execute("DELETE FROM entries").rowcount
+            conn.execute("DELETE FROM quarantine")
+        return removed
 
     def close(self) -> None:
         if self._connection is not None:
@@ -400,19 +273,18 @@ class SqliteBackend(CacheBackend):
             self._connection = None
 
 
-# -- spec parsing --------------------------------------------------------------
-
-
 def parse_backend_spec(spec: Union[str, Path]) -> CacheBackend:
-    """Build a backend from a URL-style spec.
+    """Build a backend from a spec.
 
-    - ``sqlite:PATH`` / ``sqlite://PATH`` / ``sqlite:///PATH`` — the
-      single-file WAL store at ``PATH``;
-    - ``dir:PATH`` / ``file:PATH`` — the sharded directory tree;
+    - ``sqlite:FILE`` / ``sqlite://FILE`` / ``sqlite:///FILE`` — the
+      store at ``FILE``;
     - ``tcp:HOST:PORT`` — a ``repro cached serve`` endpoint, every
       operation proxied over the framed wire protocol;
-    - anything else — treated as a directory path.
+    - a :class:`~pathlib.Path` or any other string — a cache directory,
+      whose store is ``<dir>/cache.sqlite``.
     """
+    if isinstance(spec, Path):
+        return SqliteBackend(spec / CACHE_FILE)
     text = str(spec)
     lowered = text.lower()
     if lowered.startswith("tcp:"):
@@ -424,35 +296,11 @@ def parse_backend_spec(spec: Union[str, Path]) -> CacheBackend:
         if not path or path == "/":
             raise ValueError(f"sqlite backend spec needs a path: {spec!r}")
         return SqliteBackend(path)
-    for prefix in ("dir:", "file:"):
-        if lowered.startswith(prefix):
-            path = text[len(prefix):]
-            path = path[2:] if path.startswith("//") else path
-            if not path:
-                raise ValueError(
-                    f"directory backend spec needs a path: {spec!r}")
-            return DirectoryBackend(path)
     scheme, sep, _rest = text.partition(":")
     if sep and scheme.isalnum() and os.sep not in scheme:
         raise ValueError(
             f"unknown cache backend scheme {scheme!r} in {spec!r};"
-            " supported: sqlite:, dir:, file:, tcp:, or a bare"
+            " supported: sqlite:FILE, tcp:HOST:PORT, or a bare"
             " directory path"
         )
-    return DirectoryBackend(text)
-
-
-def backend_from_env(directory, *,
-                     env_var: str = "REPRO_CACHE_BACKEND") -> CacheBackend:
-    """Backend for ``directory``, honouring the selection env var.
-
-    Unset/empty or ``dir`` keeps the sharded tree at ``directory``;
-    the bare word ``sqlite`` places a ``cache.sqlite`` inside it; any
-    spec with a path (``sqlite:/mnt/shared/grid.sqlite``) wins outright.
-    """
-    raw = os.environ.get(env_var, "").strip()
-    if raw in ("", "dir"):
-        return DirectoryBackend(directory)
-    if raw == "sqlite":
-        return SqliteBackend(Path(directory) / "cache.sqlite")
-    return parse_backend_spec(raw)
+    return SqliteBackend(Path(text) / CACHE_FILE)

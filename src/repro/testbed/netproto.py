@@ -1,9 +1,9 @@
 """Wire protocol + client side of the networked cache/queue tier.
 
-PR 5's distributed grids stop at a shared filesystem: ``WorkQueue`` and
-every ``CacheBackend`` need a mount all workers can reach.  This module
-(with :mod:`repro.testbed.server`) lifts the same contracts onto TCP so
-hosts that share *nothing* can drain one grid:
+A ``WorkQueue`` directory and a local sqlite cache store serve the
+processes of one host.  This module (with :mod:`repro.testbed.server`)
+lifts the same contracts onto TCP so hosts that share *nothing* can
+drain one grid:
 
 - a small **length-prefixed binary framing** (:func:`encode_frame` /
   :func:`decode_frame`) carrying a JSON header plus an opaque binary
@@ -17,8 +17,8 @@ hosts that share *nothing* can drain one grid:
 - :class:`RemoteWorkQueue` — the duck-typed twin of
   :class:`~repro.testbed.queue.WorkQueue` over ``tcp:HOST:PORT``;
 - :class:`TcpCacheBackend` — a
-  :class:`~repro.testbed.backends.CacheBackend` (index-capable) that
-  proxies reads/writes to the server's store, so a stock
+  :class:`~repro.testbed.backends.CacheBackend` that proxies every
+  store call to the server's sqlite store, so a stock
   :class:`~repro.testbed.cache.ResultCache` works unchanged over the
   wire and writes stay byte-identical to local execution.
 
@@ -38,13 +38,11 @@ import random
 import re
 import socket
 import struct
-import tempfile
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .backends import CacheBackend, IndexEntry
+from .backends import CacheBackend
 from .queue import QueueTask, pack_scenario, unpack_scenario
 
 __all__ = [
@@ -59,7 +57,7 @@ __all__ = [
 # -- framing -------------------------------------------------------------------
 
 MAGIC = b"RW"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 KIND_REQUEST = 0
 KIND_RESPONSE = 1
@@ -492,15 +490,13 @@ class TcpCacheBackend(CacheBackend):
     """A :class:`CacheBackend` whose store lives behind a
     ``tcp:HOST:PORT`` server.
 
-    ``index_capable``: the server's cache index answers
-    count/total/LRU queries, so the client-side
-    :class:`~repro.testbed.cache.ResultCache` opens no local index file.
-    ``root``/``lock_path`` point at a per-endpoint scratch directory
-    that only ever holds maintenance lock files.
+    Every method is one RPC that the server runs against its local
+    :class:`~repro.testbed.backends.SqliteBackend`, so ``gc``/``verify``/
+    ``clear`` are serialised by the server's store transaction, exactly
+    as for local maintainers of that store.
     """
 
     name = "tcp"
-    index_capable = True
 
     def __init__(self, host: str, port: int, *,
                  client: Optional[NetClient] = None,
@@ -508,27 +504,11 @@ class TcpCacheBackend(CacheBackend):
         self.host = host
         self.port = port
         self._client = client or NetClient(host, port, **client_kwargs)
-        self._root: Optional[Path] = None
 
     @classmethod
     def from_spec(cls, spec: str, **kwargs) -> "TcpCacheBackend":
         host, port = parse_tcp_spec(spec)
         return cls(host, port, **kwargs)
-
-    @property
-    def root(self) -> Path:
-        if self._root is None:
-            safe_host = re.sub(r"[^A-Za-z0-9.-]", "_", self.host)
-            self._root = (Path(tempfile.gettempdir())
-                          / f"repro-tcp-{safe_host}-{self.port}")
-        self._root.mkdir(parents=True, exist_ok=True)
-        return self._root
-
-    @property
-    def lock_path(self) -> Path:
-        return self.root / ".maintenance.lock"
-
-    # -- store protocol ----------------------------------------------------
 
     def read(self, key: str) -> Optional[bytes]:
         header, blob = self._client.call("cache.read", {"key": key})
@@ -542,61 +522,38 @@ class TcpCacheBackend(CacheBackend):
         header, _ = self._client.call("cache.delete", {"key": key})
         return bool(header["deleted"])
 
+    def touch(self, key: str, accessed: float) -> None:
+        self._client.call("cache.touch", {"key": key, "accessed": accessed})
+
     def quarantine(self, key: str) -> bool:
         header, _ = self._client.call("cache.quarantine", {"key": key})
         return bool(header["moved"])
 
-    def clear_quarantine(self) -> int:
-        header, _ = self._client.call("cache.clear_quarantine")
-        return int(header["removed"])
-
-    def scan(self):
-        header, _ = self._client.call("cache.scan")
-        for key, size, mtime in header["entries"]:
-            yield str(key), int(size), float(mtime)
-
-    def sweep_temp(self, max_age_s: float = 0.0) -> int:
-        return 0  # temp hygiene is the server's business
-
-    # -- index protocol (proxied to the server's index) --------------------
-
-    @staticmethod
-    def _entry_row(entry: IndexEntry) -> List[Any]:
-        return [entry.key, entry.size, entry.created, entry.accessed]
-
-    def upsert(self, entry: IndexEntry) -> None:
-        self._client.call("index.upsert",
-                          {"entry": self._entry_row(entry)})
-
-    def touch(self, key: str, size: int, accessed: float) -> None:
-        self._client.call("index.touch", {"key": key, "size": size,
-                                          "accessed": accessed})
-
-    def remove(self, key: str) -> None:
-        self._client.call("index.remove", {"key": key})
-
     def count(self) -> int:
-        header, _ = self._client.call("index.count")
+        header, _ = self._client.call("cache.count")
         return int(header["count"])
 
     def total_bytes(self) -> int:
-        header, _ = self._client.call("index.total_bytes")
+        header, _ = self._client.call("cache.total_bytes")
         return int(header["total_bytes"])
 
-    def entries(self) -> List[IndexEntry]:
-        header, _ = self._client.call("index.entries")
-        return [IndexEntry(str(k), int(s), float(c), float(a))
-                for k, s, c, a in header["entries"]]
+    def gc(self, max_bytes: Optional[int] = None,
+           max_entries: Optional[int] = None,
+           protect: Optional[str] = None) -> Dict[str, int]:
+        header, _ = self._client.call(
+            "cache.gc", {"max_bytes": max_bytes, "max_entries": max_entries,
+                         "protect": protect})
+        return header["report"]
 
-    def lru(self) -> List[IndexEntry]:
-        header, _ = self._client.call("index.lru")
-        return [IndexEntry(str(k), int(s), float(c), float(a))
-                for k, s, c, a in header["entries"]]
+    def verify(self, valid: Callable[[bytes], bool]) -> Dict[str, int]:
+        """The server checks entries against its own copy of the cache
+        schema; ``valid`` does not cross the wire."""
+        header, _ = self._client.call("cache.verify")
+        return header["report"]
 
-    def replace_all(self, entries: List[IndexEntry]) -> None:
-        self._client.call(
-            "index.replace_all",
-            {"entries": [self._entry_row(entry) for entry in entries]})
+    def clear(self) -> int:
+        header, _ = self._client.call("cache.clear")
+        return int(header["removed"])
 
     def close(self) -> None:
         self._client.close()

@@ -147,10 +147,10 @@ class WorkQueue:
         config on creation so every worker agrees.
     cache_spec:
         Backend spec (see :func:`repro.testbed.backends.parse_backend_spec`)
-        of the result cache all workers share.  Defaults to a
-        ``DirectoryBackend`` cache living beside the queue, which is the
-        one layout guaranteed reachable by every process that can reach
-        the queue itself.
+        of the result cache all workers share.  Defaults to the queue's
+        ``cache`` directory, whose store is ``cache/cache.sqlite``:
+        every local process that can reach the queue can reach it, and
+        workers on other hosts reach it through ``repro cached serve``.
     """
 
     def __init__(self, path: Union[str, Path], *,
@@ -177,7 +177,7 @@ class WorkQueue:
                 )
         else:
             config = {
-                "cache_spec": cache_spec or f"dir:{self.path / 'cache'}",
+                "cache_spec": cache_spec or str(self.path / "cache"),
                 "lease_expiry_s": (DEFAULT_LEASE_EXPIRY_S
                                    if lease_expiry_s is None
                                    else float(lease_expiry_s)),

@@ -48,7 +48,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Deque, Dict, Optional, Sequence, Tuple, Union
 
-from .backends import IndexEntry
 from .cache import ResultCache
 from .netproto import (
     KIND_ERROR,
@@ -208,10 +207,6 @@ class CacheQueueServer(FramedServer):
         await super().stop()
         self.cache.close()
 
-    def _index(self):
-        """The server-side cache index (created on first use)."""
-        return self.cache._ensure_index(create=True)
-
     # -- op handlers -------------------------------------------------------
 
     def _op_stats(self, header, blob) -> _Reply:
@@ -219,7 +214,7 @@ class CacheQueueServer(FramedServer):
             "queue": self.queue.counts(),
             "leases": self.queue.lease_stats(),
             "lease_expiry_s": self.queue.lease_expiry_s,
-            "cache_entries": self._index().count(),
+            "cache_entries": len(self.cache),
             "requests_served": self.requests_served,
         }, b""
 
@@ -302,50 +297,29 @@ class CacheQueueServer(FramedServer):
     def _op_cache_delete(self, header, blob) -> _Reply:
         return {"deleted": self.cache.backend.delete(header["key"])}, b""
 
+    def _op_cache_touch(self, header, blob) -> _Reply:
+        self.cache.backend.touch(header["key"], float(header["accessed"]))
+        return {}, b""
+
     def _op_cache_quarantine(self, header, blob) -> _Reply:
         return {"moved": self.cache.backend.quarantine(header["key"])}, b""
 
-    def _op_cache_clear_quarantine(self, header, blob) -> _Reply:
-        return {"removed": self.cache.backend.clear_quarantine()}, b""
+    def _op_cache_count(self, header, blob) -> _Reply:
+        return {"count": self.cache.backend.count()}, b""
 
-    def _op_cache_scan(self, header, blob) -> _Reply:
-        return {"entries": [[key, size, mtime] for key, size, mtime
-                            in self.cache.backend.scan()]}, b""
+    def _op_cache_total_bytes(self, header, blob) -> _Reply:
+        return {"total_bytes": self.cache.backend.total_bytes()}, b""
 
-    def _op_index_count(self, header, blob) -> _Reply:
-        return {"count": self._index().count()}, b""
+    def _op_cache_gc(self, header, blob) -> _Reply:
+        return {"report": self.cache.backend.gc(
+            header.get("max_bytes"), header.get("max_entries"),
+            header.get("protect"))}, b""
 
-    def _op_index_total_bytes(self, header, blob) -> _Reply:
-        return {"total_bytes": self._index().total_bytes()}, b""
+    def _op_cache_verify(self, header, blob) -> _Reply:
+        return {"report": self.cache.verify()}, b""
 
-    def _op_index_touch(self, header, blob) -> _Reply:
-        self._index().touch(header["key"], int(header["size"]),
-                            float(header["accessed"]))
-        return {}, b""
-
-    def _op_index_upsert(self, header, blob) -> _Reply:
-        key, size, created, accessed = header["entry"]
-        self._index().upsert(IndexEntry(str(key), int(size),
-                                        float(created), float(accessed)))
-        return {}, b""
-
-    def _op_index_remove(self, header, blob) -> _Reply:
-        self._index().remove(header["key"])
-        return {}, b""
-
-    def _op_index_entries(self, header, blob) -> _Reply:
-        return {"entries": [[e.key, e.size, e.created, e.accessed]
-                            for e in self._index().entries()]}, b""
-
-    def _op_index_lru(self, header, blob) -> _Reply:
-        return {"entries": [[e.key, e.size, e.created, e.accessed]
-                            for e in self._index().lru()]}, b""
-
-    def _op_index_replace_all(self, header, blob) -> _Reply:
-        entries = [IndexEntry(str(k), int(s), float(c), float(a))
-                   for k, s, c, a in header["entries"]]
-        self._index().replace_all(entries)
-        return {}, b""
+    def _op_cache_clear(self, header, blob) -> _Reply:
+        return {"removed": self.cache.clear()}, b""
 
     _HANDLERS = {
         "ping": FramedServer._op_ping,
@@ -368,17 +342,13 @@ class CacheQueueServer(FramedServer):
         "cache.read": _op_cache_read,
         "cache.write": _op_cache_write,
         "cache.delete": _op_cache_delete,
+        "cache.touch": _op_cache_touch,
         "cache.quarantine": _op_cache_quarantine,
-        "cache.clear_quarantine": _op_cache_clear_quarantine,
-        "cache.scan": _op_cache_scan,
-        "index.count": _op_index_count,
-        "index.total_bytes": _op_index_total_bytes,
-        "index.touch": _op_index_touch,
-        "index.upsert": _op_index_upsert,
-        "index.remove": _op_index_remove,
-        "index.entries": _op_index_entries,
-        "index.lru": _op_index_lru,
-        "index.replace_all": _op_index_replace_all,
+        "cache.count": _op_cache_count,
+        "cache.total_bytes": _op_cache_total_bytes,
+        "cache.gc": _op_cache_gc,
+        "cache.verify": _op_cache_verify,
+        "cache.clear": _op_cache_clear,
     }
 
 

@@ -1,25 +1,18 @@
-"""Pluggable cache backends: sqlite store, spec parsing, file locks,
-and concurrent-maintenance safety."""
+"""The sqlite cache store: spec parsing, the single-file store, and
+maintenance serialised by sqlite transactions across processes."""
 
-import json
+import multiprocessing
 import os
+import signal
+import sqlite3
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.testbed import (
-    FileLock,
-    LockTimeout,
-    ResultCache,
-    RunMetrics,
-    SqliteBackend,
-)
-from repro.testbed.backends import (
-    DirectoryBackend,
-    backend_from_env,
-    parse_backend_spec,
-)
+from repro.testbed import ResultCache, RunMetrics, SqliteBackend
+from repro.testbed.backends import parse_backend_spec
 
 RUNS = [RunMetrics(mean_delay_ms=1.5, mean_waiting_ms=0.5,
                    average_power_w=2.0, receiver_psnr_db=None,
@@ -33,36 +26,24 @@ def _key(byte: str) -> str:
 
 class TestSpecParsing:
     def test_bare_path_is_directory(self, tmp_path):
-        backend = parse_backend_spec(str(tmp_path / "c"))
-        assert isinstance(backend, DirectoryBackend)
-
-    def test_dir_spec(self, tmp_path):
-        backend = parse_backend_spec(f"dir:{tmp_path / 'c'}")
-        assert isinstance(backend, DirectoryBackend)
-        assert backend.name == "dir"
+        for spec in (str(tmp_path / "c"), tmp_path / "c"):
+            backend = parse_backend_spec(spec)
+            assert isinstance(backend, SqliteBackend)
+            assert backend.path == tmp_path / "c" / "cache.sqlite"
 
     def test_sqlite_spec(self, tmp_path):
-        backend = parse_backend_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
-        assert isinstance(backend, SqliteBackend)
-        assert backend.name == "sqlite"
-        assert backend.index_capable
-        backend.close()
+        for spec in (f"sqlite:{tmp_path / 'c.sqlite'}",
+                     f"sqlite://{tmp_path / 'c.sqlite'}"):
+            backend = parse_backend_spec(spec)
+            assert isinstance(backend, SqliteBackend)
+            assert backend.name == "sqlite"
+            assert backend.path == tmp_path / "c.sqlite"
+            backend.close()
 
     def test_unknown_scheme_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            parse_backend_spec(f"redis:{tmp_path}")
-
-    def test_env_selection(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        backend = backend_from_env(tmp_path / "c")
-        assert isinstance(backend, SqliteBackend)
-        backend.close()
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "dir")
-        assert isinstance(backend_from_env(tmp_path / "c2"),
-                          DirectoryBackend)
-        monkeypatch.delenv("REPRO_CACHE_BACKEND")
-        assert isinstance(backend_from_env(tmp_path / "c3"),
-                          DirectoryBackend)
+        for scheme in ("redis", "dir", "file"):
+            with pytest.raises(ValueError, match="backend"):
+                parse_backend_spec(f"{scheme}:{tmp_path}")
 
 
 class TestSqliteBackend:
@@ -81,10 +62,24 @@ class TestSqliteBackend:
         cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
         cache.put_runs(_key("a"), RUNS)
         cache.close()
-        names = {p.name for p in tmp_path.iterdir()}
-        assert "c.sqlite" in names
-        # no per-entry shard directories, unlike the dir backend
-        assert not any((tmp_path / n).is_dir() for n in names)
+        # one file: no per-entry files, no index, no lock file
+        assert {p.name for p in tmp_path.iterdir()} == {"c.sqlite"}
+
+    def test_connection_handed_to_another_thread(self, tmp_path):
+        """A server builds its store on one thread and serves it from its
+        event loop thread; the connection must follow."""
+        cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
+        cache.put_runs(_key("a"), RUNS)  # connection opened here
+        results = []
+
+        def serve():
+            results.append(cache.get_runs(_key("a")))
+            cache.close()
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert results == [RUNS]
 
     def test_concurrent_second_opener(self, tmp_path):
         path = tmp_path / "c.sqlite"
@@ -118,46 +113,29 @@ class TestSqliteBackend:
         cache.close()
 
 
-class TestFileLock:
-    def test_exclusion_and_release(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        first = FileLock(lock_path)
-        second = FileLock(lock_path, timeout_s=0.1, poll_s=0.01)
-        with first:
-            assert not second.try_acquire()
-            with pytest.raises(LockTimeout):
-                second.acquire()
-        assert second.try_acquire()
-        second.release()
+N_CRASH_ENTRIES = 200
 
-    def test_stale_lock_broken_by_age(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        holder = FileLock(lock_path, stale_seconds=0.05)
-        assert holder.try_acquire()
-        time.sleep(0.1)
-        contender = FileLock(lock_path, stale_seconds=0.05,
-                             timeout_s=2.0, poll_s=0.01)
-        contender.acquire()
-        assert contender.held
-        contender.release()
 
-    def test_dead_pid_broken_immediately(self, tmp_path):
-        lock_path = tmp_path / "x.lock"
-        # forge a lock owned by a certainly-dead pid on this host
-        import socket
-        lock_path.write_text(json.dumps(
-            {"host": socket.gethostname(), "pid": 2 ** 22 + 12345,
-             "taken": time.time()}))
-        contender = FileLock(lock_path, stale_seconds=3600.0,
-                             timeout_s=2.0, poll_s=0.01)
-        contender.acquire()
-        contender.release()
+class _HangingStore(SqliteBackend):
+    """Quarantines half the store inside ``verify``'s transaction, then
+    announces it and hangs there until killed."""
 
-    def test_reacquire_while_held_rejected(self, tmp_path):
-        lock = FileLock(tmp_path / "x.lock")
-        with lock:
-            with pytest.raises(RuntimeError, match="already held"):
-                lock.acquire()
+    def __init__(self, path, ready) -> None:
+        super().__init__(path)
+        self.ready = ready
+        self.moved = 0
+
+    def _move_to_quarantine(self, conn, key):
+        moved = super()._move_to_quarantine(conn, key)
+        self.moved += 1
+        if self.moved == N_CRASH_ENTRIES // 2:
+            self.ready.set()
+            time.sleep(3600.0)
+        return moved
+
+
+def _hang_mid_verify(path, ready):
+    _HangingStore(path, ready).verify(lambda data: False)
 
 
 def _hammer_maintenance(args):
@@ -183,8 +161,9 @@ def _hammer_maintenance(args):
 @pytest.mark.slow
 class TestConcurrentMaintenance:
     """Regression: gc/verify/index-rebuild used to race when several
-    processes shared one cache directory; the maintenance FileLock
-    serialises them without losing entries."""
+    processes shared one cache directory; each maintenance call now runs
+    in one sqlite write transaction, which serialises them without
+    losing entries."""
 
     def test_parallel_gc_verify_rebuild_lose_nothing(self, tmp_path):
         directory = tmp_path / "shared"
@@ -203,16 +182,43 @@ class TestConcurrentMaintenance:
         assert final.stats()["entries"] == n_keys
         final.close()
 
-    def test_stale_maintenance_lock_is_broken(self, tmp_path):
-        directory = tmp_path / "shared"
-        cache = ResultCache(directory)
-        cache.put_runs(_key("a"), RUNS)
-        # a crashed maintainer left its lock behind, long ago
-        lock_path = cache.backend.lock_path
-        lock_path.write_text(json.dumps(
-            {"host": "elsewhere", "pid": 1, "taken": 0.0}))
-        old = time.time() - 3600.0
-        os.utime(lock_path, (old, old))
-        report = cache.gc()  # must break the stale lock, not hang
-        assert report["entries"] == 1
+    def test_killed_maintainer_rolls_back_and_releases_the_lock(
+            self, tmp_path):
+        """A maintainer SIGKILLed inside its transaction leaves nothing
+        to clean up: its uncommitted quarantines roll back, the OS drops
+        its write lock, and the next gc/verify runs at once."""
+        keys = ["%03x" % i * 21 + "0" for i in range(N_CRASH_ENTRIES)]
+        cache = ResultCache(tmp_path)
+        for key in keys:
+            cache.put_runs(key, RUNS)
         cache.close()
+
+        context = multiprocessing.get_context("fork")
+        ready = context.Event()
+        maintainer = context.Process(
+            target=_hang_mid_verify,
+            args=(str(tmp_path / "cache.sqlite"), ready))
+        maintainer.start()
+        contender = SqliteBackend(tmp_path / "cache.sqlite",
+                                  busy_timeout_s=0.1)
+        try:
+            assert ready.wait(timeout=30.0)
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                contender.gc()  # the write lock is really held
+        finally:
+            contender.close()
+            os.kill(maintainer.pid, signal.SIGKILL)
+            maintainer.join(timeout=10.0)
+        assert maintainer.exitcode == -signal.SIGKILL
+
+        survivor = ResultCache(tmp_path)
+        started = time.monotonic()
+        gc_report = survivor.gc()
+        verify_report = survivor.verify()
+        assert time.monotonic() - started < survivor.backend.busy_timeout_s
+        assert gc_report["entries"] == N_CRASH_ENTRIES
+        assert verify_report["entries"] == N_CRASH_ENTRIES
+        assert verify_report["corrupt"] == 0
+        assert all(survivor.get_runs(key) == RUNS for key in keys)
+        survivor.close()
+        assert {p.name for p in tmp_path.iterdir()} == {"cache.sqlite"}

@@ -182,7 +182,7 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out
-        assert "index_backend" in out
+        assert "sqlite" in out
 
     def test_gc_enforces_caps(self, tmp_path, capsys):
         self._populate(tmp_path, n=4)
@@ -203,7 +203,7 @@ class TestCacheCommand:
     def test_verify_flags_corruption(self, tmp_path, capsys):
         keys = self._populate(tmp_path)
         with ResultCache(tmp_path) as cache:
-            cache.backend.path_for(keys[0]).write_text("{broken")
+            cache.backend.write(keys[0], b"{broken")
         assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
         assert "corrupt" in capsys.readouterr().out
         # a clean cache verifies green

@@ -223,5 +223,5 @@ class TestEngineValidation:
                                   queue=tmp_path / "q")
         assert isinstance(engine.queue, WorkQueue)
         assert engine.cache is not None
-        assert str(engine.cache.directory).startswith(str(tmp_path / "q"))
+        assert str(engine.cache.backend.path).startswith(str(tmp_path / "q"))
         engine.close()

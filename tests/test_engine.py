@@ -231,7 +231,7 @@ class TestStatsSurface:
         assert cache_stats["misses"] == 1
         assert cache_stats["evictions"] == 0
         assert cache_stats["corrupt"] == 0
-        assert cache_stats["index_backend"] == "sqlite"
+        assert cache_stats["backend"] == "sqlite"
 
 
 class TestScenarios:

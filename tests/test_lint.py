@@ -17,6 +17,9 @@ WALL_CLOCK = "now = time." + "time()"
 RAW_SOCKET = "sock = " + "socket" + ".create_connection(addr)"
 BLOCKING_SLEEP = "time." + "sleep(0.2)"
 BARE_PRINT = "print" + "(report)"
+SQLITE_USES = ("import " + "sqlite3",
+               "from " + "sqlite3 import connect",
+               "conn = " + "sqlite3" + ".connect(path)")
 
 
 def _write(tmp_path, name, *lines):
@@ -198,6 +201,30 @@ class TestRules:
                       "digest = code_fingerprint()",
                       "text = 'fingerprint()'")
         assert lint_file(path) == []
+
+    def test_sqlite_banned_in_package_source_outside_backends(
+            self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "testbed").mkdir(parents=True)
+        for where, name in ((package, "mod.py"),
+                            (package / "testbed", "cache.py"),
+                            (package, "backends.py")):
+            path = _write(where, name, *SQLITE_USES)
+            assert [e.rule for e in lint_file(path)] == \
+                ["sqlite-outside-storage"] * len(SQLITE_USES), name
+
+    def test_sqlite_allowed_in_storage_module_and_outside_package(
+            self, tmp_path):
+        storage = tmp_path / "src" / "repro" / "testbed"
+        storage.mkdir(parents=True)
+        assert lint_file(_write(storage, "backends.py", *SQLITE_USES)) == []
+        (tmp_path / "tests").mkdir()
+        assert lint_file(_write(tmp_path / "tests", "test_store.py",
+                                *SQLITE_USES)) == []
+        lookalikes = _write(storage, "cache.py",
+                            "backend = SqliteBackend(path)",
+                            "name = 'pysqlite3'")
+        assert lint_file(lookalikes) == []
 
     def test_allow_marker_and_comments_skipped(self, tmp_path):
         path = _write(tmp_path, "mod.py",

@@ -106,11 +106,25 @@ def _assert_byte_identical(local_cache, spec, keys):
 class TestTcpDifferential:
     def test_two_tcp_workers_byte_identical_zero_duplicates(
             self, tiny_scenario, tmp_path):
-        clip, bitstream = tiny_scenario
         ref_summaries, keys, local_cache = _local_reference(
             tiny_scenario, tmp_path)
+        # The served store: the queue's default cache directory, then a
+        # named sqlite file.  Either is built on the test thread and then
+        # served from the ServerThread's event loop thread.
+        for name, cache_spec in (
+                ("queue-cache", None),
+                ("sqlite-file", f"sqlite:{tmp_path / 'served.sqlite'}")):
+            self._drain_with_two_workers(
+                tiny_scenario, tmp_path / name, cache_spec,
+                ref_summaries, keys, local_cache)
+        local_cache.close()
 
-        with ServerThread(tmp_path / "q", lease_expiry_s=60.0) as served:
+    @staticmethod
+    def _drain_with_two_workers(tiny_scenario, workdir, cache_spec,
+                                ref_summaries, keys, local_cache):
+        clip, bitstream = tiny_scenario
+        with ServerThread(workdir / "q", lease_expiry_s=60.0,
+                          cache_spec=cache_spec) as served:
             spec = served.spec
             engine = ExperimentEngine(dispatch="queue", queue=spec,
                                       master_seed=MASTER_SEED,
@@ -121,7 +135,7 @@ class TestTcpDifferential:
             assert sorted(submitted) == sorted(keys)
 
             context = multiprocessing.get_context("fork")
-            reports = [tmp_path / f"worker{i}.json" for i in range(2)]
+            reports = [workdir / f"worker{i}.json" for i in range(2)]
             procs = [context.Process(target=_worker_proc,
                                      args=(spec, str(path)))
                      for path in reports]
@@ -149,7 +163,6 @@ class TestTcpDifferential:
             warm = run_worker(spec)
             assert warm.simulations == 0
             engine.close()
-        local_cache.close()
 
     def test_scenario_blob_round_trips_verified(self, tiny_scenario,
                                                 tmp_path):

@@ -77,12 +77,12 @@ class TestLifecycle:
 
     def test_config_persisted_and_conflicts_rejected(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", lease_expiry_s=7.0,
-                          cache_spec="dir:/somewhere")
+                          cache_spec="sqlite:/somewhere.sqlite")
         reopened = WorkQueue(tmp_path / "q")
         assert reopened.lease_expiry_s == 7.0
-        assert reopened.cache_spec == "dir:/somewhere"
+        assert reopened.cache_spec == "sqlite:/somewhere.sqlite"
         with pytest.raises(ValueError, match="cache spec"):
-            WorkQueue(tmp_path / "q", cache_spec="dir:/elsewhere")
+            WorkQueue(tmp_path / "q", cache_spec="sqlite:/elsewhere.sqlite")
         with pytest.raises(ValueError, match="lease_expiry_s"):
             WorkQueue(tmp_path / "q", lease_expiry_s=9.0)
 
