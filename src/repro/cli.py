@@ -751,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", action="append", metavar="CHECK",
         help="run only this check (repeatable):"
              " crypto-kat/cached-engine/event-kernel/vector-flows/"
-             "vector-models/mobility/net-queue/advise-serve",
+             "sender-oracle/lookup-decode/vector-models/mobility/"
+             "net-queue/advise-serve",
     )
     p_selftest.set_defaults(func=cmd_selftest)
 

@@ -25,6 +25,12 @@ subsystem:
   exact/oracle path: traces and observer masks must match bit for bit
   under three policies (the property the single sender engine rests
   on);
+- **lookup-decode** — reconstruction by lookup replayed against the
+  decode-every-frame oracle (:mod:`repro.video.oracle`): for three
+  seeded decodable masks under both concealment modes, the displayed
+  frames, their records and the clip's PSNR/MOS must be identical, with
+  the clean-frame cache and distortion table cold and then warm (the
+  property the fast decode cell rests on);
 - **models** — the batched analytic-model engine
   (:mod:`repro.core.vector_models`) swept against the scalar oracle on
   a tiny calibrated scenario: same recommended policy, every sweep
@@ -214,6 +220,40 @@ def _check_sender_oracle() -> str:
             f" traces x 3 policies")
 
 
+def _check_lookup_decode() -> str:
+    from .video.concealment import CONCEALMENT_MODES, conceal_decode
+    from .video.oracle import oracle_conceal_decode, oracle_scores
+    from .video.quality import sequence_mos, sequence_psnr
+
+    # A new clip and bitstream: their cache entry and table start empty.
+    clip, bitstream = _tiny_scenario()
+    rng = np.random.default_rng(2013)
+    masks = [{i for i in range(len(bitstream)) if rng.random() >= loss}
+             for loss in (0.1, 0.3, 0.5)]
+    for phase in ("cold", "warm"):
+        for number, mask in enumerate(masks):
+            for mode in CONCEALMENT_MODES:
+                where = f"{phase} cache, {mode}, mask {number}"
+                oracle = oracle_conceal_decode(bitstream, mask, mode)
+                result = conceal_decode(bitstream, mask, mode=mode)
+                if result.frames != oracle.frames or not all(
+                        np.array_equal(got.y, want.y)
+                        and np.array_equal(got.u, want.u)
+                        and np.array_equal(got.v, want.v)
+                        for got, want in zip(result.sequence,
+                                             oracle.sequence)):
+                    raise AssertionError(
+                        f"{where}: displayed frames differ from the"
+                        " decode-every-frame oracle")
+                got = (sequence_psnr(clip, result.sequence),
+                       sequence_mos(clip, result.sequence))
+                want = oracle_scores(clip, oracle.sequence)
+                if got != want:
+                    raise AssertionError(
+                        f"{where}: PSNR/MOS {got} != oracle {want}")
+    return "lookup==decode over 3 masks x 2 modes, cache cold then warm"
+
+
 def _check_vector_models() -> str:
     from .core import calibrate_scenario, default_candidates
     from .core.advisor import PolicyAdvisor, choice_payload
@@ -381,6 +421,7 @@ _CHECKS: List[tuple] = [
     ("event-kernel", _check_event_kernel),
     ("vector-flows", _check_vector_flows),
     ("sender-oracle", _check_sender_oracle),
+    ("lookup-decode", _check_lookup_decode),
     ("vector-models", _check_vector_models),
     ("mobility", _check_mobility),
     ("net-queue", _check_net_queue),

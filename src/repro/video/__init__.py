@@ -8,7 +8,12 @@ P-frames, predictive decode dependencies and freeze-frame concealment.
 """
 
 from .codec import CodecConfig, Decoder, Encoder, decode_bitstream, encode_sequence
-from .concealment import ConcealedFrame, ConcealmentResult, conceal_decode
+from .concealment import (
+    ConcealedFrame,
+    ConcealedSequence,
+    ConcealmentResult,
+    conceal_decode,
+)
 from .gop import Bitstream, EncodedFrame, FrameType, GopLayout
 from .motion import (
     MotionClass,
@@ -29,6 +34,7 @@ from .packetizer import (
 from .quality import (
     MAX_PSNR_DB,
     distortion_from_psnr,
+    frame_mses,
     frame_psnr,
     mos_from_psnr,
     mse,
@@ -51,13 +57,15 @@ from .yuv import CIF_HEIGHT, CIF_WIDTH, Frame, Sequence420, write_pgm
 
 __all__ = [
     "CodecConfig", "Decoder", "Encoder", "decode_bitstream", "encode_sequence",
-    "ConcealedFrame", "ConcealmentResult", "conceal_decode",
+    "ConcealedFrame", "ConcealedSequence", "ConcealmentResult",
+    "conceal_decode",
     "Bitstream", "EncodedFrame", "FrameType", "GopLayout",
     "MotionClass", "MotionReport", "analyze_motion",
     "block_motion_magnitude", "frame_activity", "sensitivity_for",
     "DEFAULT_MTU", "Packet", "frames_decodable", "packetize",
     "packetize_frame", "required_packets",
-    "MAX_PSNR_DB", "distortion_from_psnr", "frame_psnr", "mos_from_psnr",
+    "MAX_PSNR_DB", "distortion_from_psnr", "frame_mses", "frame_psnr",
+    "mos_from_psnr",
     "mse", "psnr_from_distortion", "sequence_mos", "sequence_mse",
     "sequence_psnr",
     "FAST_MOTION", "MEDIUM_MOTION", "SLOW_MOTION", "MotionProfile",

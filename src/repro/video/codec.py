@@ -35,7 +35,8 @@ import numpy as np
 from .gop import Bitstream, EncodedFrame, FrameType, GopLayout
 from .yuv import Frame, Sequence420
 
-__all__ = ["CodecConfig", "Encoder", "Decoder", "encode_sequence", "decode_bitstream"]
+__all__ = ["CodecConfig", "Encoder", "Decoder", "encode_sequence",
+           "decode_bitstream", "is_intra_coded"]
 
 _MAGIC_I = 0x49  # 'I': intra frame
 _MAGIC_P = 0x50  # 'P': predicted frame, residual-coded
@@ -302,6 +303,12 @@ class Encoder:
         self._reference = recon
         self._frame_index += 1
         return encoded
+
+
+def is_intra_coded(encoded: EncodedFrame) -> bool:
+    """Whether the frame decodes without a reference: I-frames and
+    P-frames that took the intra fallback."""
+    return encoded.payload[0] in (_MAGIC_I, _MAGIC_PI)
 
 
 class Decoder:

@@ -15,21 +15,43 @@ model:
 ``conceal_decode`` drives the real codec with this policy and reports, per
 frame, whether it was decoded or frozen and at what reference distance —
 the quantity Fig. 2's polynomials are fitted over.
+
+Reconstruction by lookup.  Under this policy every displayed frame is
+its clean decode ``clean(k)``, an earlier clean frame held frozen, or
+blank.  So each bitstream's clean decodes are built once, lazily, in a
+per-process cache keyed on the bitstream object's identity (and dropped
+when it is collected), and a concealed sequence records each frame's
+source: a clean index, :data:`BLANK`, or ``None`` for a *drifted*
+picture (a best-effort decode against a wrong reference).
+:func:`repro.video.quality.frame_mses` reads clean and blank sources
+from a per-clip distortion table ``D[i, j]`` kept with that cache.
+Displayed frames of ``IPP`` streams are therefore shared between
+frames and between calls, and their planes are read-only; a caller
+that edits one takes :meth:`Frame.copy` first.  Bitstreams and
+reference clips are treated as immutable once decoded or scored.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
-from .codec import CodecConfig, Decoder
-from .gop import Bitstream, FrameType
+from .codec import CodecConfig, Decoder, is_intra_coded
+from .gop import Bitstream, EncodedFrame, FrameType
 from .yuv import Frame, Sequence420
 
-__all__ = ["CONCEALMENT_MODES", "ConcealedFrame", "ConcealmentResult",
-           "conceal_decode"]
+__all__ = ["BLANK", "CONCEALMENT_MODES", "ConcealedFrame",
+           "ConcealedSequence", "ConcealmentResult", "conceal_decode"]
 
 CONCEALMENT_MODES = ("strict", "best_effort")
+
+# Source of a displayed blank frame (Case 3).  Clean sources are frame
+# indices >= 0; a drifted picture's source is None.
+BLANK = -1
+
+Source = Optional[int]
 
 
 @dataclass(frozen=True)
@@ -63,9 +85,99 @@ class ConcealmentResult:
         return [f.reference_distance for f in self.frames if not f.decoded]
 
 
+def _read_only(frame: Frame) -> Frame:
+    for plane in (frame.y, frame.u, frame.v):
+        plane.setflags(write=False)
+    return frame
+
+
+class _CleanFrames:
+    """One bitstream's clean decodes, built on first use, and the
+    distortion tables that score them against reference clips."""
+
+    def __init__(self, bitstream: Bitstream, config: CodecConfig) -> None:
+        self._encoded: List[EncodedFrame] = list(bitstream)
+        self._config = config
+        self._frames: List[Optional[Frame]] = [None] * len(self._encoded)
+        self.blank = _read_only(Frame.blank(bitstream.width,
+                                            bitstream.height))
+        # reference clip -> {(display index, source): luma MSE}
+        self._tables: "weakref.WeakKeyDictionary[Sequence420, dict]" = \
+            weakref.WeakKeyDictionary()
+
+    def frame(self, k: int) -> Frame:
+        """``clean(k)``: an intra frame's own decode, else
+        ``decode(P_k, clean(k-1))``; decodes only what is missing.
+        Two threads racing here decode the same bits twice, harmlessly."""
+        frames = self._frames
+        if frames[k] is not None:
+            return frames[k]
+        start = k
+        while (start > 0 and frames[start] is None
+               and not is_intra_coded(self._encoded[start])):
+            start -= 1
+        decoder = Decoder(self._config)
+        if frames[start] is not None:
+            decoder.set_reference(frames[start])
+            start += 1
+        for j in range(start, k + 1):
+            frames[j] = _read_only(decoder.decode_frame(self._encoded[j]))
+        return frames[k]
+
+    def picture(self, source: Source) -> Frame:
+        return self.blank if source == BLANK else self.frame(source)
+
+    def table(self, reference: Sequence420) -> Dict[Tuple[int, int], float]:
+        return self._tables.setdefault(reference, {})
+
+
+_CLEAN: Dict[int, _CleanFrames] = {}
+_CLEAN_LOCK = threading.Lock()
+
+
+def _clean_frames(bitstream: Bitstream, config: CodecConfig) -> _CleanFrames:
+    """The bitstream's cache entry.  It is keyed on ``id(bitstream)``
+    and removed by ``weakref.finalize`` when the bitstream is
+    collected, so an id is never reused while its entry lives; nothing
+    is stored on the (pickled, shipped-to-workers) bitstream itself."""
+    key = id(bitstream)
+    entry = _CLEAN.get(key)
+    if entry is None:
+        with _CLEAN_LOCK:
+            entry = _CLEAN.get(key)
+            if entry is None:
+                entry = _CLEAN[key] = _CleanFrames(bitstream, config)
+                weakref.finalize(bitstream, _CLEAN.pop, key, None)
+    return entry
+
+
+class ConcealedSequence(Sequence420):
+    """The displayed frames of an ``IPP`` lossy decode plus their sources.
+
+    ``sources[i]`` is the clean index whose decode frame ``i`` shows,
+    :data:`BLANK`, or ``None`` for a drifted picture.  The frames are
+    read-only and may be shared.  ``mse_memo`` holds the last
+    ``(reference, per-frame MSEs)`` pair scored by
+    :func:`repro.video.quality.frame_mses`.
+    """
+
+    def __init__(self, frames: Sequence[Frame], sources: Sequence[Source],
+                 clean: _CleanFrames, *, fps: float, name: str) -> None:
+        super().__init__(frames, fps=fps, name=name)
+        self.sources: Tuple[Source, ...] = tuple(sources)
+        self._clean = clean
+        self.mse_memo: Optional[Tuple[Sequence420, Tuple[float, ...]]] = None
+
+    def distortion_table(self, reference: Sequence420
+                         ) -> Dict[Tuple[int, int], float]:
+        """``D[i, source]`` against ``reference``, shared by every
+        sequence concealed from the same bitstream."""
+        return self._clean.table(reference)
+
+
 def conceal_decode(
     bitstream: Bitstream,
-    decodable: Set[int],
+    decodable: AbstractSet[int],
     config: Optional[CodecConfig] = None,
     *,
     mode: str = "strict",
@@ -89,126 +201,116 @@ def conceal_decode(
       paper's observation that I-frame encryption distorts slow-motion
       video far more than fast-motion video (Section 6.2, Fig. 4).
 
+    ``config`` must match the bitstream's quantizer and B-frame count
+    (it defaults to them); indices outside the bitstream are rejected.
+
     Note: when the eq. (20) rule declares a frame decodable despite a
     missing non-essential packet, we decode it from the intact payload.
     This emulates the model's abstraction that a decoder of sensitivity
     ``s`` reconstructs acceptably from ``s`` packets, which our DEFLATE
     codec cannot literally do (documented in DESIGN.md).
     """
-    config = config or CodecConfig(
-        gop_size=bitstream.gop_layout.gop_size, quantizer=bitstream.quantizer
-    )
+    layout = bitstream.gop_layout
+    if config is None:
+        config = CodecConfig(gop_size=layout.gop_size,
+                             quantizer=bitstream.quantizer,
+                             b_frames=layout.b_frames)
+    elif (config.quantizer != bitstream.quantizer
+          or config.b_frames != layout.b_frames):
+        raise ValueError(
+            f"config (quantizer {config.quantizer}, b_frames"
+            f" {config.b_frames}) does not match the bitstream (quantizer"
+            f" {bitstream.quantizer}, b_frames {layout.b_frames})")
     if mode not in CONCEALMENT_MODES:
         raise ValueError(f"unknown concealment mode {mode!r}")
+    outside = sorted(i for i in decodable if not 0 <= i < len(bitstream))
+    if outside:
+        raise ValueError(
+            f"decodable indices outside [0, {len(bitstream)}):"
+            f" {outside[:5]}")
     if any(frame.frame_type is FrameType.B for frame in bitstream):
         return _conceal_decode_b(bitstream, decodable, config, mode)
+    clean = _clean_frames(bitstream, config)
     if mode == "best_effort":
-        return _best_effort_decode(bitstream, decodable, config)
-    decoder = Decoder(config)
+        return _best_effort_decode(bitstream, decodable, config, clean)
 
-    displayed: List[Frame] = []
+    sources: List[Source] = []
     records: List[ConcealedFrame] = []
-
-    last_good: Optional[Frame] = None
-    # Index of the source frame last_good corresponds to.
-    last_good_index: Optional[int] = None
-
+    last_good = BLANK
     for gop in bitstream.gops():
         i_frame = gop[0]
         if i_frame.frame_type is not FrameType.I:
             raise ValueError(
                 f"GOP {i_frame.gop_index} does not start with an I-frame"
             )
-        gop_broken = i_frame.index not in decodable
-
-        if gop_broken:
-            # Case 2 / Case 3: freeze the whole GOP.
-            for frame in gop:
-                if last_good is None:
-                    displayed.append(Frame.blank(bitstream.width,
-                                                 bitstream.height))
-                    distance = frame.index + 1  # "infinite"; bounded by clip
-                else:
-                    displayed.append(last_good.copy())
-                    distance = frame.index - last_good_index
-                records.append(ConcealedFrame(
-                    index=frame.index, decoded=False,
-                    reference_distance=distance,
-                ))
-            continue
-
-        # Case 1: decode until the first unrecoverable P-frame.
-        frozen = False
+        # Case 1: decode until the first unrecoverable frame; Cases 2
+        # and 3 (lost I-frame): the chain never starts.
+        chain = True
         for frame in gop:
-            if not frozen and frame.index in decodable:
-                reconstructed = decoder.decode_frame(frame)
-                displayed.append(reconstructed)
-                records.append(ConcealedFrame(
-                    index=frame.index, decoded=True, reference_distance=0,
-                ))
-                last_good = reconstructed
-                last_good_index = frame.index
-            else:
-                frozen = True
-                if last_good is None:
-                    displayed.append(Frame.blank(bitstream.width,
-                                                 bitstream.height))
-                    distance = frame.index + 1
-                else:
-                    displayed.append(last_good.copy())
-                    distance = frame.index - last_good_index
-                records.append(ConcealedFrame(
-                    index=frame.index, decoded=False,
-                    reference_distance=distance,
-                ))
+            chain = chain and frame.index in decodable
+            if chain:
+                last_good = frame.index
+            sources.append(last_good)
+            records.append(_record(frame.index, chain, last_good))
 
-    sequence = Sequence420(displayed, fps=bitstream.fps,
-                           name=f"{bitstream.name}-concealed")
+    displayed = [clean.picture(source) for source in sources]
+    sequence = ConcealedSequence(displayed, sources, clean, fps=bitstream.fps,
+                                 name=f"{bitstream.name}-concealed")
     return ConcealmentResult(sequence=sequence, frames=records)
+
+
+def _record(index: int, decoded: bool, shown: int) -> ConcealedFrame:
+    """A frame's record; a frozen frame shows ``shown`` (or blank)."""
+    if decoded:
+        distance = 0
+    elif shown == BLANK:
+        distance = index + 1  # "infinite"; bounded by clip
+    else:
+        distance = index - shown
+    return ConcealedFrame(index=index, decoded=decoded,
+                          reference_distance=distance)
 
 
 def _best_effort_decode(
     bitstream: Bitstream,
-    decodable: Set[int],
+    decodable: AbstractSet[int],
     config: CodecConfig,
+    clean: _CleanFrames,
 ) -> ConcealmentResult:
-    """ffmpeg-style decode: use whatever reference exists, freeze otherwise."""
-    decoder = Decoder(config)
+    """ffmpeg-style decode: use whatever reference exists, freeze otherwise.
+
+    A decodable frame is ``clean(k)`` when it is intra-coded or its
+    reference is ``clean(k-1)``; anything else is decoded against the
+    drifted (or blank) reference, the only real decoding done here.
+    """
     displayed: List[Frame] = []
+    sources: List[Source] = []
     records: List[ConcealedFrame] = []
-    last_shown: Optional[Frame] = None
-    last_decoded_index: Optional[int] = None
+    shown: Frame = clean.blank
+    shown_source: Source = BLANK
+    last_decoded_index = BLANK
 
     for frame in bitstream:
-        if frame.index in decodable:
-            if decoder.reference is None:
-                # Prediction with no reference at all: decode against blank,
-                # as real decoders do when joining mid-stream.
-                decoder.set_reference(
-                    Frame.blank(bitstream.width, bitstream.height)
-                )
-            reconstructed = decoder.decode_frame(frame)
-            displayed.append(reconstructed)
-            records.append(ConcealedFrame(
-                index=frame.index, decoded=True, reference_distance=0,
-            ))
-            last_shown = reconstructed
-            last_decoded_index = frame.index
-        else:
-            if last_shown is None:
-                displayed.append(Frame.blank(bitstream.width,
-                                             bitstream.height))
-                distance = frame.index + 1
+        k = frame.index
+        if k in decodable:
+            if is_intra_coded(frame) or (k > 0 and shown_source == k - 1):
+                shown, shown_source = clean.frame(k), k
             else:
-                displayed.append(last_shown.copy())
-                distance = frame.index - last_decoded_index
-            records.append(ConcealedFrame(
-                index=frame.index, decoded=False,
-                reference_distance=distance,
-            ))
+                # Prediction from a wrong reference (or, joining
+                # mid-stream, from blank): a drifted picture.
+                decoder = Decoder(config)
+                decoder.set_reference(shown)
+                shown = _read_only(decoder.decode_frame(frame))
+                shown_source = None
+            last_decoded_index = k
+            records.append(_record(k, True, k))
+        else:
+            records.append(_record(k, False, last_decoded_index))
+        displayed.append(shown)
+        sources.append(shown_source)
 
-    sequence = Sequence420(displayed, fps=bitstream.fps,
-                           name=f"{bitstream.name}-best-effort")
+    sequence = ConcealedSequence(displayed, sources, clean, fps=bitstream.fps,
+                                 name=f"{bitstream.name}-best-effort")
     return ConcealmentResult(sequence=sequence, frames=records)
 
 

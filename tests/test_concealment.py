@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.video.codec import CodecConfig
 from repro.video.concealment import conceal_decode
 from repro.video.gop import FrameType
 from repro.video.quality import sequence_psnr
@@ -74,6 +75,30 @@ class TestStrictPolicy:
     def test_unknown_mode_rejected(self, slow_bitstream):
         with pytest.raises(ValueError):
             conceal_decode(slow_bitstream, set(), mode="optimistic")
+
+    @pytest.mark.parametrize("config", [
+        CodecConfig(gop_size=30, quantizer=16),
+        CodecConfig(gop_size=30, quantizer=8, b_frames=2),
+    ])
+    def test_config_disagreeing_with_the_stream_rejected(
+            self, slow_bitstream, config):
+        """A wrong quantizer used to decode garbage (9.6 dB for 39.9)."""
+        with pytest.raises(ValueError, match="does not match"):
+            conceal_decode(slow_bitstream, _all_indices(slow_bitstream),
+                           config)
+
+    def test_matching_config_accepted(self, slow_clip, slow_bitstream):
+        config = CodecConfig(gop_size=30, quantizer=8)
+        result = conceal_decode(slow_bitstream, _all_indices(slow_bitstream),
+                                config)
+        assert sequence_psnr(slow_clip, result.sequence) > 32.0
+
+    @pytest.mark.parametrize("index", [-1, 90, 1000])
+    def test_decodable_index_outside_the_stream_rejected(
+            self, slow_bitstream, index):
+        for mode in ("strict", "best_effort"):
+            with pytest.raises(ValueError, match="outside"):
+                conceal_decode(slow_bitstream, {0, index}, mode=mode)
 
 
 class TestBestEffort:

@@ -62,6 +62,12 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr_from_distortion(-1.0)
 
+    @pytest.mark.parametrize("distortion", [
+        float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, distortion):
+        with pytest.raises(ValueError, match="finite"):
+            psnr_from_distortion(distortion)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=255.0 ** 2))
     def test_inverse_roundtrip(self, distortion):
@@ -83,6 +89,10 @@ class TestMos:
     def test_bucket_map(self, psnr, expected):
         assert mos_from_psnr(psnr) == expected
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mos_from_psnr(float("nan"))
+
 
 class TestSequenceMetrics:
     def test_sequence_mse_mean_of_frames(self):
@@ -100,6 +110,11 @@ class TestSequenceMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sequence_mse(Sequence420([_frame(0)]),
+                         Sequence420([_frame(0), _frame(0)]))
+
+    def test_mos_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            sequence_mos(Sequence420([_frame(0)]),
                          Sequence420([_frame(0), _frame(0)]))
 
     def test_sequence_mos_fractional(self):

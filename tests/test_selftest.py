@@ -5,6 +5,7 @@ import pytest
 import repro.selftest as selftest_mod
 from repro.cli import main
 from repro.selftest import CheckResult, run_selftest
+from repro.video.concealment import ConcealedSequence
 
 
 class TestRunSelftest:
@@ -12,8 +13,8 @@ class TestRunSelftest:
         results = run_selftest()
         assert [r.name for r in results] == [
             "crypto-kat", "cached-engine", "event-kernel", "vector-flows",
-            "sender-oracle", "vector-models", "mobility", "net-queue",
-            "advise-serve"]
+            "sender-oracle", "lookup-decode", "vector-models", "mobility",
+            "net-queue", "advise-serve"]
         failures = [r for r in results if not r.ok]
         assert not failures, [f"{r.name}: {r.detail}" for r in failures]
 
@@ -32,6 +33,33 @@ class TestRunSelftest:
         assert [r.name for r in results] == ["sender-oracle"]
         assert results[0].ok, results[0].detail
         assert "kernel==vector oracle" in results[0].detail
+
+    def test_lookup_check_proves_the_differential(self):
+        results = run_selftest(["lookup-decode"])
+        assert results[0].ok, results[0].detail
+        assert "lookup==decode" in results[0].detail
+        assert "cold then warm" in results[0].detail
+
+    def test_lookup_check_catches_a_corrupt_table_entry(self, monkeypatch):
+        """One wrong D[i, j], written after the cold pass filled it,
+        must fail the check when a later lookup reads it."""
+        original = ConcealedSequence.distortion_table
+        corrupted = []
+
+        def distortion_table(sequence, reference):
+            table = original(sequence, reference)
+            if table and not corrupted:
+                key = next(iter(table))
+                table[key] += 1.0
+                corrupted.append(key)
+            return table
+
+        monkeypatch.setattr(ConcealedSequence, "distortion_table",
+                            distortion_table)
+        results = run_selftest(["lookup-decode"])
+        assert corrupted
+        assert not results[0].ok
+        assert "PSNR/MOS" in results[0].detail
 
     def test_subset_selection(self):
         results = run_selftest(["crypto-kat"])
